@@ -45,7 +45,6 @@ from .formulas import (
 )
 from .geninv import drazin
 from .oracle import COMPARE_TOL, compare
-from .reports import ConditionReport
 from .sweep import run_sweep
 
 EXIT_OK = 0
@@ -124,10 +123,6 @@ def _json_default(obj):
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def _conditions_json(rep: ConditionReport) -> dict:
-    return rep.to_dict()
 
 
 def _result_json(result) -> dict:
@@ -222,12 +217,12 @@ def cmd_block(args) -> int:
                 echo,
                 digest,
                 started,
-                conditions=_conditions_json(conditions),
+                conditions=conditions.to_dict(),
                 error={"hypothesis": str(err), "residuals": err.residuals},
             )
         )
         return EXIT_FAIL
-    fields = {"conditions": _conditions_json(conditions), "result": _result_json(result)}
+    fields = {"conditions": conditions.to_dict(), "result": _result_json(result)}
     if isinstance(result, NoGroupInverse):
         _emit(_report(echo, digest, started, **fields))
         return EXIT_NO_GROUP
@@ -265,7 +260,7 @@ def cmd_gen(args) -> int:
             ["gen", args.theorem, f"n={args.n}", f"seed={args.seed}", f"violate={args.violate}"],
             _digest(pair.E, pair.F),
             started,
-            conditions=_conditions_json(conditions),
+            conditions=conditions.to_dict(),
             outputs={"E": args.e_out, "F": args.f_out, "pattern": pair.pattern.value},
         )
     )

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, block2x2, frobenius_norm, identity, matrix, zeros
-from .formulas import BlockPair, Pattern
-from .geninv import drazin
+from .core import DEFAULT_TOL, block2x2, identity, matrix, zeros
+from .formulas import _LEMMA_CLAUSES, REGISTRY, BlockPair, Pattern, _DrazinData, dual_clause
 from .reports import ConditionEntry, ConditionReport
 
 
@@ -34,42 +33,8 @@ class InfeasibleRecipeError(ValueError):
     """The requested violation is structurally forced to be impossible."""
 
 
-PATTERN_FOR = {
-    "thm23": Pattern.EI_F0,
-    "thm25": Pattern.EI_F0,
-    "cor26": Pattern.EF_I0,
-    "thm27": Pattern.EI_F0,
-    "thm31": Pattern.EI_F0,
-    "cor32": Pattern.EF_I0,
-    "thm33": Pattern.EF_I0,
-    "cor34": Pattern.EI_F0,
-    "cor35": Pattern.EF_I0,
-    "thm41": Pattern.EF_F0,
-    "cor42": Pattern.EF_F0,
-    "cor43": Pattern.EF_F0,
-    "cor44": Pattern.EF_F0,
-}
-
+PATTERN_FOR = {theorem_id: row.pattern for theorem_id, row in REGISTRY.items()}
 THEOREM_IDS = tuple(PATTERN_FOR)
-
-# clauses per formula id: annihilator hypotheses first, then existence clauses
-THEOREM_CONDITIONS = {
-    "lemma22": ("PQP", "Q2P"),
-    "lemma24": ("PQ",),
-    "thm23": ("EFE", "F2E"),
-    "thm25": ("EFEFpi", "F2EFpi"),
-    "cor26": ("EFEFpi", "F2EFpi"),
-    "thm27": ("EFEFpi", "F2EFpi"),
-    "thm31": ("FEFpi", "FFpi", "EpiFpi"),
-    "cor32": ("FEFpi", "FFpi", "EpiFpi"),
-    "thm33": ("FpiEF", "FFpi", "FpiEpi"),
-    "cor34": ("FpiEF", "FFpi", "FpiEpi"),
-    "cor35": ("EF2-FEF", "FFpi", "FpiEpi"),
-    "thm41": ("FFpi", "FEFpi", "EEpiFpi"),
-    "cor42": ("FFpi", "FpiEF", "FpiEpiE"),
-    "cor43": ("EEpi", "FFpi", "FEFpi|FpiEF"),
-    "cor44": ("EEpi", "FFpi", "EF2-FEF"),
-}
 
 
 def check_conditions(
@@ -85,50 +50,20 @@ def check_conditions(
     = tol * max(1, |E|_F) * max(1, |F|_F).  FFpi/EEpi encode group
     invertibility (X group invertible iff X X^pi = 0).  A supplied lam
     adds the EF - lam FE alternative to the commutation clause; the
-    either-or clauses take the smaller residual.
+    either-or clauses take the smaller residual.  The clauses and their
+    expressions are those the formulas' own gates evaluate.
     """
-    if theorem_id not in THEOREM_CONDITIONS:
-        raise KeyError(f"unknown formula id {theorem_id!r}")
-    if e.shape != f.shape or e.shape[0] != e.shape[1]:
-        raise ValueError(f"E and F must be square of equal shape, got {e.shape}, {f.shape}")
-    threshold = tol * max(1.0, frobenius_norm(e)) * max(1.0, frobenius_norm(f))
-    names = THEOREM_CONDITIONS[theorem_id]
-    need_idem = any("pi" in n.lower() for n in names if n not in ("PQ", "PQP", "Q2P"))
-    epi = drazin(e, tol).idempotent if need_idem else None
-    fpi = drazin(f, tol).idempotent if need_idem else None
-    exprs = {
-        "PQ": lambda: e @ f,
-        "PQP": lambda: e @ f @ e,
-        "Q2P": lambda: f @ f @ e,
-        "EFE": lambda: e @ f @ e,
-        "F2E": lambda: f @ f @ e,
-        "EFEFpi": lambda: e @ f @ e @ fpi,
-        "F2EFpi": lambda: f @ f @ e @ fpi,
-        "FEFpi": lambda: f @ e @ fpi,
-        "FpiEF": lambda: fpi @ e @ f,
-        "EpiFpi": lambda: epi @ fpi,
-        "FpiEpi": lambda: fpi @ epi,
-        "EEpiFpi": lambda: e @ epi @ fpi,
-        "FpiEpiE": lambda: fpi @ epi @ e,
-        "FFpi": lambda: f @ fpi,
-        "EEpi": lambda: e @ epi,
-        "EF2-FEF": lambda: e @ f @ f - f @ e @ f,
-    }
+    names = _LEMMA_CLAUSES.get(theorem_id) or REGISTRY[theorem_id].clauses
+    d = _DrazinData(e, f, tol)
     entries = []
     for name in names:
-        if name == "FEFpi|FpiEF":
-            residual = min(frobenius_norm(exprs["FEFpi"]()), frobenius_norm(exprs["FpiEF"]()))
-        elif name == "EF2-FEF" and lam is not None:
-            residual = min(
-                frobenius_norm(exprs["EF2-FEF"]()),
-                frobenius_norm(e @ f - lam * (f @ e)),
-            )
-            name = "EF-lFE|EF2-FEF"
+        if name == "EF2-FEF" and lam is not None:
+            name, residual = "EF-lFE|EF2-FEF", min(d.commutation(lam).values())
         else:
-            residual = frobenius_norm(exprs[name]())
+            residual = d.residual(name)
         entries.append(
             ConditionEntry(
-                name=name, residual=residual, threshold=threshold, passed=residual <= threshold
+                name=name, residual=residual, threshold=d.threshold, passed=residual <= d.threshold
             )
         )
     return ConditionReport.build(entries)
@@ -339,11 +274,7 @@ def _build_group_eif0(rng, n, violate, recipe, transposed: bool):
     transposed=True yields the F^pi E F = 0 / F^pi E^pi = 0 family by
     transposing a pair built for the plain one.
     """
-    plain_violate = violate
-    if transposed:
-        plain_violate = {None: None, "FpiEF": "FEFpi", "FpiEpi": "EpiFpi", "FFpi": "FFpi"}.get(
-            violate, "?"
-        )
+    plain_violate = dual_clause(violate) if transposed else violate
     if plain_violate not in (None, "FEFpi", "EpiFpi", "FFpi"):
         _infeasible(recipe, f"unknown clause {violate!r}")
     if plain_violate == "FFpi":
@@ -384,11 +315,7 @@ def _build_identical(rng, n, violate, recipe, transposed: bool):
 
     transposed=True gives the F^pi E F = 0 / F^pi E^pi E = 0 family.
     """
-    plain_violate = violate
-    if transposed:
-        plain_violate = {None: None, "FpiEF": "FEFpi", "FpiEpiE": "EEpiFpi", "FFpi": "FFpi"}.get(
-            violate, "?"
-        )
+    plain_violate = dual_clause(violate) if transposed else violate
     if plain_violate not in (None, "FEFpi", "EEpiFpi", "FFpi"):
         _infeasible(recipe, f"unknown clause {violate!r}")
     s, s_inv = _unimodular(rng, n)

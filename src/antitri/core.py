@@ -207,11 +207,6 @@ def invert(a: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> np.nd
     return solve(a, identity(a.shape[0]), tol, floor)
 
 
-def is_invertible(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    n, m = a.shape
-    return n == m and rank(a, tol) == n
-
-
 def block2x2(tl: np.ndarray, tr: np.ndarray, bl: np.ndarray, br: np.ndarray) -> np.ndarray:
     """Assemble [[tl, tr], [bl, br]] as one dense matrix."""
     return np.block([[tl, tr], [bl, br]])

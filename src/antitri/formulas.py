@@ -25,13 +25,23 @@ value is returned and the discrepancy is flagged in ``diagnostics``.
 Every series is truncated at a proven vanishing point (any term
 containing X^i X^pi dies once i >= ind(X)); indices are computed once
 and loops are capped, terms are never tested for smallness.
+
+One call builds one ``_DrazinData`` for its (E, F): ``drazin(E)`` and
+``drazin(F)`` run at most once each, on first use, and the composite
+formulas hand that holder to their base formula.  Transpose duals read
+the same data through (A^T)^D = (A^D)^T.  Each hypothesis clause is one
+expression in ``_CLAUSES``, read by the formula gates and by
+``check_conditions`` alike, and each formula id is one row of
+``REGISTRY``.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -45,7 +55,7 @@ from .core import (
     split2x2,
     zeros,
 )
-from .geninv import drazin, index_of
+from .geninv import DrazinResult, drazin, index_of
 
 
 class Pattern(enum.Enum):
@@ -167,14 +177,117 @@ def _hyp_scale(e: np.ndarray, f: np.ndarray) -> float:
     return max(1.0, frobenius_norm(e)) * max(1.0, frobenius_norm(f))
 
 
-def _check_hypotheses(residuals: dict[str, float], threshold: float, what: str) -> None:
-    bad = {k: v for k, v in residuals.items() if v > threshold}
+class _DrazinData:
+    """One pair (E, F) with its Drazin data, each datum computed at most once.
+
+    ``E`` and ``F`` are the :class:`DrazinResult` of the two blocks
+    (for the additive lemmas, of P and Q), computed on first use, so a
+    gate that refuses pays only for the data it read.  ``T`` is the
+    holder of the transposed pair; it calls no ``drazin`` of its own but
+    transposes this one's results, at the same index.
+    """
+
+    def __init__(
+        self, e: np.ndarray, f: np.ndarray, tol: float, transpose_of: _DrazinData | None = None
+    ):
+        BlockPair(e, f)  # shape check
+        self.e, self.f, self.tol = e, f, tol
+        self._transpose_of = transpose_of
+
+    @cached_property
+    def threshold(self) -> float:
+        return self.tol * _hyp_scale(self.e, self.f)
+
+    @cached_property
+    def E(self) -> DrazinResult:
+        if self._transpose_of is None:
+            return drazin(self.e, self.tol)
+        return _transposed(self._transpose_of.E)
+
+    @cached_property
+    def F(self) -> DrazinResult:
+        if self._transpose_of is None:
+            return drazin(self.f, self.tol)
+        return _transposed(self._transpose_of.F)
+
+    @cached_property
+    def T(self) -> _DrazinData:
+        if self._transpose_of is not None:
+            return self._transpose_of
+        return _DrazinData(self.e.T.copy(), self.f.T.copy(), self.tol, transpose_of=self)
+
+    def residual(self, clause: str) -> float:
+        """Frobenius norm of the clause's left-hand side; "A|B" takes the smaller."""
+        return min(frobenius_norm(_CLAUSES[name](self)) for name in clause.split("|"))
+
+    def commutation(self, lam: complex | None) -> dict[str, float]:
+        """Residuals of EF^2 = FEF and, when lam is supplied, of EF = lam FE."""
+        residuals = {"EF2-FEF": self.residual("EF2-FEF")}
+        if lam is not None:
+            residuals["EF-lam.FE"] = frobenius_norm(self.e @ self.f - lam * (self.f @ self.e))
+        return residuals
+
+
+def _transposed(r: DrazinResult) -> DrazinResult:
+    return replace(r, drazin=r.drazin.T, idempotent=r.idempotent.T)
+
+
+# Left-hand side of each hypothesis and existence clause.  FFpi and EEpi
+# encode group invertibility: X is group invertible iff X X^pi = 0.
+_CLAUSES: dict[str, Callable[[_DrazinData], np.ndarray]] = {
+    "PQ": lambda d: d.e @ d.f,
+    "PQP": lambda d: d.e @ d.f @ d.e,
+    "Q2P": lambda d: d.f @ d.f @ d.e,
+    "EFEFpi": lambda d: d.e @ d.f @ d.e @ d.F.idempotent,
+    "F2EFpi": lambda d: d.f @ d.f @ d.e @ d.F.idempotent,
+    "FEFpi": lambda d: d.f @ d.e @ d.F.idempotent,
+    "FpiEF": lambda d: d.F.idempotent @ d.e @ d.f,
+    "EpiFpi": lambda d: d.E.idempotent @ d.F.idempotent,
+    "FpiEpi": lambda d: d.F.idempotent @ d.E.idempotent,
+    "EEpiFpi": lambda d: d.e @ d.E.idempotent @ d.F.idempotent,
+    "FpiEpiE": lambda d: d.F.idempotent @ d.E.idempotent @ d.e,
+    "FFpi": lambda d: d.f @ d.F.idempotent,
+    "EEpi": lambda d: d.e @ d.E.idempotent,
+    "EF2-FEF": lambda d: d.e @ d.f @ d.f - d.f @ d.e @ d.f,
+}
+_CLAUSES.update(EFE=_CLAUSES["PQP"], F2E=_CLAUSES["Q2P"])
+
+# A clause on (E^T, F^T) is the transpose of its dual on (E, F).
+_DUAL = {"FEFpi": "FpiEF", "EpiFpi": "FpiEpi", "EEpiFpi": "FpiEpiE"}
+_DUAL.update({v: k for k, v in _DUAL.items()})
+
+_LEMMA_CLAUSES = {"lemma22": ("PQP", "Q2P"), "lemma24": ("PQ",)}
+
+
+def dual_clause(name: str | None) -> str | None:
+    """The transpose-dual clause name; FFpi and names without a dual map to themselves."""
+    return _DUAL.get(name, name)
+
+
+def _check_hypotheses(d: _DrazinData, clauses: tuple[str, ...], what: str) -> None:
+    residuals = {name: d.residual(name) for name in clauses}
+    bad = {k: v for k, v in residuals.items() if v > d.threshold}
     if bad:
         detail = ", ".join(f"|{k}| = {v:.3e}" for k, v in bad.items())
         raise HypothesisError(
-            f"{what}: hypothesis residual exceeds threshold {threshold:.3e} ({detail})",
+            f"{what}: hypothesis residual exceeds threshold {d.threshold:.3e} ({detail})",
             residuals,
         )
+
+
+def _transpose_dual(body, d: _DrazinData, what: str):
+    """body on the transposed pair, its refusals renamed to the dual clauses."""
+    try:
+        out = body(d.T)
+    except HypothesisError as err:
+        residuals = {dual_clause(k): v for k, v in err.residuals.items()}
+        raise HypothesisError(f"{what}: {err}", residuals) from None
+    if isinstance(out, NoGroupInverse):
+        return NoGroupInverse(
+            failed=tuple(dual_clause(name) for name in out.failed),
+            residuals={dual_clause(k): v for k, v in out.residuals.items()},
+        )
+    return out
 
 
 def _vanish_count(ind: int, start: int, step: int = 2) -> int:
@@ -227,14 +340,9 @@ def lemma22_additive(p: np.ndarray, q: np.ndarray, tol: float = DEFAULT_TOL) -> 
     """(P+Q)^D under PQP = 0 and Q^2 P = 0 (checked, tolerance-relative)."""
     if p.shape != q.shape or p.shape[0] != p.shape[1]:
         raise ShapeError("lemma22_additive requires equal square shapes")
-    threshold = tol * _hyp_scale(p, q)
-    _check_hypotheses(
-        {"PQP": frobenius_norm(p @ q @ p), "Q2P": frobenius_norm(q @ q @ p)},
-        threshold,
-        "additive split (PQP = Q^2 P = 0)",
-    )
-    rp = drazin(p, tol)
-    rq = drazin(q, tol)
+    d = _DrazinData(p, q, tol)
+    _check_hypotheses(d, _LEMMA_CLAUSES["lemma22"], "additive split (PQP = Q^2 P = 0)")
+    rp, rq = d.E, d.F
     pd, ppi = rp.drazin, rp.idempotent
     qd, qpi = rq.drazin, rq.idempotent
     s = p + q
@@ -252,10 +360,9 @@ def lemma24_additive(p: np.ndarray, q: np.ndarray, tol: float = DEFAULT_TOL) -> 
     """(P+Q)^D under PQ = 0 (checked, tolerance-relative)."""
     if p.shape != q.shape or p.shape[0] != p.shape[1]:
         raise ShapeError("lemma24_additive requires equal square shapes")
-    threshold = tol * _hyp_scale(p, q)
-    _check_hypotheses({"PQ": frobenius_norm(p @ q)}, threshold, "additive split (PQ = 0)")
-    rp = drazin(p, tol)
-    rq = drazin(q, tol)
+    d = _DrazinData(p, q, tol)
+    _check_hypotheses(d, _LEMMA_CLAUSES["lemma24"], "additive split (PQ = 0)")
+    rp, rq = d.E, d.F
     out = zeros(p.shape[0], p.shape[0])
     for i in range(rq.index):
         out = out + matrix_power(q, i) @ rq.idempotent @ matrix_power(rp.drazin, i + 1)
@@ -278,16 +385,9 @@ def cline(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def thm23(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult:
     """g-Drazin inverse of [[E, I], [F, 0]] under EFE = 0 and F^2 E = 0."""
-    pair = BlockPair(e, f, Pattern.EI_F0)
-    e, f = pair.E, pair.F
-    threshold = tol * _hyp_scale(e, f)
-    _check_hypotheses(
-        {"EFE": frobenius_norm(e @ f @ e), "F2E": frobenius_norm(f @ f @ e)},
-        threshold,
-        "anti-triangular split (EFE = F^2 E = 0)",
-    )
-    re_ = drazin(e, tol)
-    rf = drazin(f, tol)
+    d = _DrazinData(e, f, tol)
+    _check_hypotheses(d, ("EFE", "F2E"), "anti-triangular split (EFE = F^2 E = 0)")
+    re_, rf = d.E, d.F
     ed, epi, ind_e = re_.drazin, re_.idempotent, re_.index
     fd, fpi, ind_f = rf.drazin, rf.idempotent, rf.index
     n = e.shape[0]
@@ -333,7 +433,9 @@ def thm23(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult
     )
 
 
-def _anti_triangular_core(e: np.ndarray, f: np.ndarray, tol: float):
+def _anti_triangular(
+    d: _DrazinData, kind: InverseKind = InverseKind.G_DRAZIN
+) -> tuple[BlockResult, Thm25Intermediates]:
     """Shared engine for the E F E F^pi = F^2 E F^pi = 0 representation.
 
     Computes the inverse along the constructive route: split M = P + Q
@@ -347,27 +449,20 @@ def _anti_triangular_core(e: np.ndarray, f: np.ndarray, tol: float):
     brute-force oracle while the constructive route matches, so the
     constructive blocks are the ones returned.
     """
-    pair = BlockPair(e, f, Pattern.EI_F0)
-    e, f = pair.E, pair.F
+    e, f = d.e, d.f
     n = e.shape[0]
-    threshold = tol * _hyp_scale(e, f)
-    rf = drazin(f, tol)
+    rf = d.F
     fd, fpi, ind_f = rf.drazin, rf.idempotent, rf.index
     _check_hypotheses(
-        {
-            "EFEFpi": frobenius_norm(e @ f @ e @ fpi),
-            "F2EFpi": frobenius_norm(f @ f @ e @ fpi),
-        },
-        threshold,
-        "anti-triangular split (EFEF^pi = F^2 E F^pi = 0)",
+        d, ("EFEFpi", "F2EFpi"), "anti-triangular split (EFEF^pi = F^2 E F^pi = 0)"
     )
     ffd = f @ fd
     ident = identity(n)
 
     alpha = e @ fpi
-    if frobenius_norm(alpha) <= threshold:
+    if frobenius_norm(alpha) <= d.threshold:
         alpha = zeros(n, n)  # sub-threshold residue is an exact zero in the algebra
-    ra = drazin(alpha, tol)
+    ra = drazin(alpha, d.tol)
     alpha_d = ra.drazin
     beta = fpi @ e @ ffd + fpi
     gamma = f @ fpi
@@ -494,8 +589,17 @@ def _anti_triangular_core(e: np.ndarray, f: np.ndarray, tol: float):
         delt=del_s,
         pierce_p=p_idem,
     )
-    truncation = {"k": k_cap, "m": m_cap}
-    return (tl, tr, bl, br), intermediates, truncation, diagnostics
+    result = BlockResult(
+        tl=tl,
+        tr=tr,
+        bl=bl,
+        br=br,
+        kind=kind,
+        pattern=Pattern.EI_F0,
+        truncation={"k": k_cap, "m": m_cap},
+        diagnostics=diagnostics,
+    )
+    return result, intermediates
 
 
 def thm25(
@@ -506,18 +610,7 @@ def thm25(
     Returns the block result together with the full intermediate symbol
     bundle for white-box testing.
     """
-    blocks, inter, trunc, diag = _anti_triangular_core(e, f, tol)
-    result = BlockResult(
-        tl=blocks[0],
-        tr=blocks[1],
-        bl=blocks[2],
-        br=blocks[3],
-        kind=InverseKind.G_DRAZIN,
-        pattern=Pattern.EI_F0,
-        truncation=trunc,
-        diagnostics=diag,
-    )
-    return result, inter
+    return _anti_triangular(_DrazinData(e, f, tol))
 
 
 def thm27(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult:
@@ -526,17 +619,7 @@ def thm27(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult
     Identical algebra to :func:`thm25`; the caps k = ind(E F^pi) + 2 ind(F)
     and m = ind(F) are reported in ``truncation``.
     """
-    blocks, _inter, trunc, diag = _anti_triangular_core(e, f, tol)
-    return BlockResult(
-        tl=blocks[0],
-        tr=blocks[1],
-        bl=blocks[2],
-        br=blocks[3],
-        kind=InverseKind.DRAZIN,
-        pattern=Pattern.EI_F0,
-        truncation=trunc,
-        diagnostics=diag,
-    )
+    return _anti_triangular(_DrazinData(e, f, tol), InverseKind.DRAZIN)[0]
 
 
 def cor26(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult:
@@ -544,23 +627,14 @@ def cor26(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult
 
     [[E,F],[I,0]]^d = [[E,I],[I,0]] ([[E,I],[F,0]]^d)^2 [[I,0],[0,F]].
     """
-    blocks, _inter, trunc, diag = _anti_triangular_core(e, f, tol)
+    base, _ = _anti_triangular(_DrazinData(e, f, tol))
     n = e.shape[0]
-    nd = block2x2(*blocks)
+    nd = base.assemble()
     left = block2x2(e, identity(n), identity(n), zeros(n, n))
     right = block2x2(identity(n), zeros(n, n), zeros(n, n), f)
     md = left @ nd @ nd @ right
     tl, tr, bl, br = split2x2(md, n, n)
-    return BlockResult(
-        tl=tl,
-        tr=tr,
-        bl=bl,
-        br=br,
-        kind=InverseKind.G_DRAZIN,
-        pattern=Pattern.EF_I0,
-        truncation=trunc,
-        diagnostics=diag,
-    )
+    return replace(base, tl=tl, tr=tr, bl=bl, br=br, pattern=Pattern.EF_I0)
 
 
 # ---------------------------------------------------------------------------
@@ -601,22 +675,21 @@ def thm31_group(
     Exists iff F has a group inverse and E^pi F^pi = 0; the blocks are
     [[E^D F^pi, F^# + (E^D F^pi)^2 - E^D F^pi E F^#], [F F^#, -F F^# E F^#]].
     """
-    pair = BlockPair(e, f, Pattern.EI_F0)
-    e, f = pair.E, pair.F
-    threshold = tol * _hyp_scale(e, f)
-    rf = drazin(f, tol)
+    return _thm31(_DrazinData(e, f, tol))
+
+
+def _thm31(d: _DrazinData) -> GroupFormulaBlocks | NoGroupInverse:
+    e, f = d.e, d.f
+    _check_hypotheses(d, ("FEFpi",), "group split (FEF^pi = 0)")
+    rf, re_ = d.F, d.E
     fd, fpi = rf.drazin, rf.idempotent
-    _check_hypotheses(
-        {"FEFpi": frobenius_norm(f @ e @ fpi)}, threshold, "group split (FEF^pi = 0)"
-    )
-    re_ = drazin(e, tol)
-    ed, epi = re_.drazin, re_.idempotent
+    ed = re_.drazin
     failed = []
-    residuals = {"EpiFpi": frobenius_norm(epi @ fpi)}
+    residuals = {"EpiFpi": d.residual("EpiFpi")}
     if rf.index > 1:
         failed.append("group_inverse(F)")
         residuals["ind(F)"] = float(rf.index)
-    if residuals["EpiFpi"] > threshold:
+    if residuals["EpiFpi"] > d.threshold:
         failed.append("EpiFpi")
     if failed:
         return NoGroupInverse(failed=tuple(failed), residuals=residuals)
@@ -640,16 +713,12 @@ def cor32_group(
     printed blocks and through the similarity P = [[0, I], [I, -E]]
     applied to the [[E, I], [F, 0]] result, and cross-checked.
     """
-    pair = BlockPair(e, f, Pattern.EF_I0)
-    e, f = pair.E, pair.F
-    n = e.shape[0]
-    base = thm31_group(e, f, tol)
+    d = _DrazinData(e, f, tol)
+    base = _thm31(d)
     if isinstance(base, NoGroupInverse):
         return base
-    rf = drazin(f, tol)
-    fs, fpi = rf.drazin, rf.idempotent
-    re_ = drazin(e, tol)
-    ed = re_.drazin
+    n = e.shape[0]
+    fs, fpi, ed = d.F.drazin, d.F.idempotent, d.E.drazin
     edfpi = ed @ fpi
     ident = identity(n)
     gamma = fpi @ ed @ fpi
@@ -671,24 +740,16 @@ def thm33_group(
     transpose dual of :func:`thm31_group` and cross-checked against the
     printed blocks.
     """
-    pair = BlockPair(e, f, Pattern.EF_I0)
-    e, f = pair.E, pair.F
-    n = e.shape[0]
-    rename = {"FEFpi": "FpiEF", "EpiFpi": "FpiEpi"}
-    try:
-        dual = thm31_group(e.T.copy(), f.T.copy(), tol)
-    except HypothesisError as err:
-        residuals = {rename.get(k, k): v for k, v in err.residuals.items()}
-        raise HypothesisError("group split (F^pi E F = 0): " + str(err), residuals) from None
+    return _thm33(_DrazinData(e, f, tol))
+
+
+def _thm33(d: _DrazinData) -> GroupFormulaBlocks | NoGroupInverse:
+    dual = _transpose_dual(_thm31, d, "group split (F^pi E F = 0)")
     if isinstance(dual, NoGroupInverse):
-        return NoGroupInverse(
-            failed=tuple(rename.get(name, name) for name in dual.failed),
-            residuals={rename.get(k, k): v for k, v in dual.residuals.items()},
-        )
-    rf = drazin(f, tol)
-    fs, fpi = rf.drazin, rf.idempotent
-    re_ = drazin(e, tol)
-    ed = re_.drazin
+        return dual
+    e, f = d.e, d.f
+    n = e.shape[0]
+    fs, fpi, ed = d.F.drazin, d.F.idempotent, d.E.drazin
     fpied = fpi @ ed
     gamma = fpied
     delta = f @ fs
@@ -706,16 +767,12 @@ def cor34_group(
     Existence as in :func:`thm33_group`; cross-checked through the
     similarity P = [[E, I], [I, 0]] applied to the [[E, F], [I, 0]] result.
     """
-    pair = BlockPair(e, f, Pattern.EI_F0)
-    e, f = pair.E, pair.F
-    n = e.shape[0]
-    base = thm33_group(e, f, tol)
+    d = _DrazinData(e, f, tol)
+    base = _thm33(d)
     if isinstance(base, NoGroupInverse):
         return base
-    rf = drazin(f, tol)
-    fs, fpi = rf.drazin, rf.idempotent
-    re_ = drazin(e, tol)
-    ed = re_.drazin
+    n = e.shape[0]
+    fs, fpi, ed = d.F.drazin, d.F.idempotent, d.E.drazin
     fpied = fpi @ ed
     ident = identity(n)
     gamma = fpi @ ed @ fpi
@@ -728,17 +785,12 @@ def cor34_group(
     return _group_blocks((gamma, delta, lam, xi), constructive, Pattern.EI_F0, n)
 
 
-def _commutation_gate(
-    e: np.ndarray, f: np.ndarray, lam: complex | None, threshold: float, what: str
-) -> dict[str, float]:
+def _commutation_gate(d: _DrazinData, lam: complex | None, what: str) -> None:
     """Require EF = lam FE (when lam is supplied) or EF^2 = FEF."""
-    residuals = {"EF2-FEF": frobenius_norm(e @ f @ f - f @ e @ f)}
-    if lam is not None:
-        residuals["EF-lam.FE"] = frobenius_norm(e @ f - lam * (f @ e))
-    if not any(v <= threshold for v in residuals.values()):
+    residuals = d.commutation(lam)
+    if min(residuals.values()) > d.threshold:
         detail = ", ".join(f"|{k}| = {v:.3e}" for k, v in residuals.items())
         raise HypothesisError(f"{what}: no commutation hypothesis holds ({detail})", residuals)
-    return residuals
 
 
 def cor35_group(
@@ -749,19 +801,16 @@ def cor35_group(
     Either commutation hypothesis reduces to F^pi E F = 0 whenever F is
     group invertible, so the computation delegates to :func:`thm33_group`.
     """
-    pair = BlockPair(e, f, Pattern.EF_I0)
-    e, f = pair.E, pair.F
-    threshold = tol * _hyp_scale(e, f)
-    _commutation_gate(e, f, lam, threshold, "commutation split")
-    rf = drazin(f, tol)
-    reduction = frobenius_norm(rf.idempotent @ e @ f)
-    if reduction > threshold:
+    d = _DrazinData(e, f, tol)
+    _commutation_gate(d, lam, "commutation split")
+    reduction = d.residual("FpiEF")
+    if reduction > d.threshold:
         # reduction fails only when F itself has no group inverse
         return NoGroupInverse(
             failed=("group_inverse(F)",),
-            residuals={"FpiEF": reduction, "ind(F)": float(rf.index)},
+            residuals={"FpiEF": reduction, "ind(F)": float(d.F.index)},
         )
-    return thm33_group(e, f, tol)
+    return _thm33(d)
 
 
 def thm41_group(
@@ -775,26 +824,24 @@ def thm41_group(
     auxiliary [[E, I], [F^2, 0]] squeezed through the product transfer)
     and cross-checked against the printed blocks.
     """
-    pair = BlockPair(e, f, Pattern.EF_F0)
-    e, f = pair.E, pair.F
+    return _thm41(_DrazinData(e, f, tol))
+
+
+def _thm41(d: _DrazinData) -> GroupFormulaBlocks | NoGroupInverse:
+    e, f = d.e, d.f
     n = e.shape[0]
-    threshold = tol * _hyp_scale(e, f)
-    rf = drazin(f, tol)
+    rf = d.F
     if rf.index > 1:
         raise HypothesisError(
             f"identical-subblock split requires a group invertible F (ind(F) = {rf.index})",
             {"ind(F)": float(rf.index)},
         )
     fs, fpi = rf.drazin, rf.idempotent
-    _check_hypotheses(
-        {"FEFpi": frobenius_norm(f @ e @ fpi)},
-        threshold,
-        "identical-subblock split (FEF^pi = 0)",
-    )
-    re_ = drazin(e, tol)
+    _check_hypotheses(d, ("FEFpi",), "identical-subblock split (FEF^pi = 0)")
+    re_ = d.E
     ed, epi = re_.drazin, re_.idempotent
-    resid = frobenius_norm(e @ epi @ fpi)
-    if resid > threshold:
+    resid = d.residual("EEpiFpi")
+    if resid > d.threshold:
         return NoGroupInverse(failed=("EEpiFpi",), residuals={"EEpiFpi": resid})
 
     ident = identity(n)
@@ -834,24 +881,17 @@ def cor42_group(
 
     Transpose dual of :func:`thm41_group`: exists iff F^pi E^pi E = 0.
     """
-    pair = BlockPair(e, f, Pattern.EF_F0)
-    e, f = pair.E, pair.F
-    n = e.shape[0]
-    try:
-        dual = thm41_group(e.T.copy(), f.T.copy(), tol)
-    except HypothesisError as err:
-        residuals = {("FpiEF" if k == "FEFpi" else k): v for k, v in err.residuals.items()}
-        raise HypothesisError(
-            "identical-subblock split (F^pi E F = 0): " + str(err), residuals
-        ) from None
+    return _cor42(_DrazinData(e, f, tol))
+
+
+def _cor42(d: _DrazinData) -> GroupFormulaBlocks | NoGroupInverse:
+    dual = _transpose_dual(_thm41, d, "identical-subblock split (F^pi E F = 0)")
     if isinstance(dual, NoGroupInverse):
-        failed = tuple("FpiEpiE" if name == "EEpiFpi" else name for name in dual.failed)
-        residuals = {("FpiEpiE" if k == "EEpiFpi" else k): v for k, v in dual.residuals.items()}
-        return NoGroupInverse(failed=failed, residuals=residuals)
-    rf = drazin(f, tol)
-    fs, fpi = rf.drazin, rf.idempotent
-    re_ = drazin(e, tol)
-    ed, epi = re_.drazin, re_.idempotent
+        return dual
+    e, f = d.e, d.f
+    n = e.shape[0]
+    fs, fpi = d.F.drazin, d.F.idempotent
+    ed, epi = d.E.drazin, d.E.idempotent
     ident = identity(n)
     fs2 = fs @ fs
     fpied = fpi @ ed
@@ -893,20 +933,20 @@ def cor43_group(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> Group
     recorded in diagnostics, and only the F E F^pi family is certified
     by the oracle cross-checks (see the sweep tests).
     """
-    pair = BlockPair(e, f, Pattern.EF_F0)
-    e, f = pair.E, pair.F
-    threshold = tol * _hyp_scale(e, f)
-    ind_e = index_of(e, tol)
-    ind_f = index_of(f, tol)
+    return _cor43(_DrazinData(e, f, tol))
+
+
+def _cor43(d: _DrazinData) -> GroupFormulaBlocks:
+    threshold = d.threshold
+    ind_e = index_of(d.e, d.tol)
+    ind_f = index_of(d.f, d.tol)
     if ind_e > 1 or ind_f > 1:
         raise HypothesisError(
             f"both blocks must be group invertible (ind(E) = {ind_e}, ind(F) = {ind_f})",
             {"ind(E)": float(ind_e), "ind(F)": float(ind_f)},
         )
-    rf = drazin(f, tol)
-    fpi = rf.idempotent
-    r_fefpi = frobenius_norm(f @ e @ fpi)
-    r_fpief = frobenius_norm(fpi @ e @ f)
+    r_fefpi = d.residual("FEFpi")
+    r_fpief = d.residual("FpiEF")
     if min(r_fefpi, r_fpief) > threshold:
         raise HypothesisError(
             "neither annihilator hypothesis holds "
@@ -915,23 +955,16 @@ def cor43_group(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> Group
         )
     family = "FEFpi" if r_fefpi <= threshold else "FpiEF"
     if r_fefpi <= threshold:
-        out = thm41_group(e, f, tol)
+        out = _thm41(d)
     else:
         # only the transposed machinery is sound for the F^pi E F family
-        out = cor42_group(e, f, tol)
+        out = _cor42(d)
     assert isinstance(out, GroupFormulaBlocks)  # existence is automatic: E E^pi = 0
     diagnostics = dict(out.diagnostics)
     diagnostics["hypothesis_family"] = family
     if r_fefpi <= threshold and r_fpief <= threshold:
         diagnostics["hypothesis_family"] = "both"
-    return GroupFormulaBlocks(
-        Gamma=out.Gamma,
-        Delta=out.Delta,
-        Lambda=out.Lambda,
-        Xi=out.Xi,
-        pattern=Pattern.EF_F0,
-        diagnostics=diagnostics,
-    )
+    return replace(out, diagnostics=diagnostics)
 
 
 def cor44_group(
@@ -942,15 +975,55 @@ def cor44_group(
     Requires EF = lam FE (for the supplied lam) or EF^2 = FEF; the
     hypothesis reduces to the annihilator condition of :func:`cor43_group`.
     """
-    pair = BlockPair(e, f, Pattern.EF_F0)
-    e, f = pair.E, pair.F
-    threshold = tol * _hyp_scale(e, f)
-    _commutation_gate(e, f, lam, threshold, "commutation split")
-    return cor43_group(e, f, tol)
+    d = _DrazinData(e, f, tol)
+    _commutation_gate(d, lam, "commutation split")
+    return _cor43(d)
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# registry and dispatch
+
+
+@dataclass(frozen=True)
+class _Formula:
+    """One formula id.
+
+    ``clauses`` are the names ``check_conditions`` reports: annihilator
+    hypotheses first, then existence clauses.  ``existence`` is the
+    existence clause a generated pair can break on its own (None when
+    existence is automatic).  ``body`` is the formula's function of
+    (E, F, tol), or of (E, F, lam, tol) for the formulas whose
+    hypotheses include the commutation clause EF2-FEF.
+    """
+
+    pattern: Pattern
+    kind: InverseKind
+    clauses: tuple[str, ...]
+    existence: str | None
+    body: Callable
+
+
+class _Registry(dict):
+    def __missing__(self, theorem_id):
+        raise KeyError(f"unknown formula id {theorem_id!r}")
+
+
+_ANTI = ("EFEFpi", "F2EFpi")
+REGISTRY = _Registry({
+    "thm23": _Formula(Pattern.EI_F0, InverseKind.G_DRAZIN, ("EFE", "F2E"), None, thm23),
+    "thm25": _Formula(Pattern.EI_F0, InverseKind.G_DRAZIN, _ANTI, None, lambda *args: thm25(*args)[0]),
+    "cor26": _Formula(Pattern.EF_I0, InverseKind.G_DRAZIN, _ANTI, None, cor26),
+    "thm27": _Formula(Pattern.EI_F0, InverseKind.DRAZIN, _ANTI, None, thm27),
+    "thm31": _Formula(Pattern.EI_F0, InverseKind.GROUP, ("FEFpi", "FFpi", "EpiFpi"), "EpiFpi", thm31_group),
+    "cor32": _Formula(Pattern.EF_I0, InverseKind.GROUP, ("FEFpi", "FFpi", "EpiFpi"), "EpiFpi", cor32_group),
+    "thm33": _Formula(Pattern.EF_I0, InverseKind.GROUP, ("FpiEF", "FFpi", "FpiEpi"), "FpiEpi", thm33_group),
+    "cor34": _Formula(Pattern.EI_F0, InverseKind.GROUP, ("FpiEF", "FFpi", "FpiEpi"), "FpiEpi", cor34_group),
+    "cor35": _Formula(Pattern.EF_I0, InverseKind.GROUP, ("EF2-FEF", "FFpi", "FpiEpi"), "FpiEpi", cor35_group),
+    "thm41": _Formula(Pattern.EF_F0, InverseKind.GROUP, ("FFpi", "FEFpi", "EEpiFpi"), "EEpiFpi", thm41_group),
+    "cor42": _Formula(Pattern.EF_F0, InverseKind.GROUP, ("FFpi", "FpiEF", "FpiEpiE"), "FpiEpiE", cor42_group),
+    "cor43": _Formula(Pattern.EF_F0, InverseKind.GROUP, ("EEpi", "FFpi", "FEFpi|FpiEF"), None, cor43_group),
+    "cor44": _Formula(Pattern.EF_F0, InverseKind.GROUP, ("EEpi", "FFpi", "EF2-FEF"), None, cor44_group),
+})
 
 
 def apply_formula(
@@ -961,21 +1034,7 @@ def apply_formula(
     lam: complex | None = None,
 ) -> BlockResult | GroupFormulaBlocks | NoGroupInverse:
     """Run the named block formula on (E, F)."""
-    table = {
-        "thm23": lambda: thm23(e, f, tol),
-        "thm25": lambda: thm25(e, f, tol)[0],
-        "cor26": lambda: cor26(e, f, tol),
-        "thm27": lambda: thm27(e, f, tol),
-        "thm31": lambda: thm31_group(e, f, tol),
-        "cor32": lambda: cor32_group(e, f, tol),
-        "thm33": lambda: thm33_group(e, f, tol),
-        "cor34": lambda: cor34_group(e, f, tol),
-        "cor35": lambda: cor35_group(e, f, lam, tol),
-        "thm41": lambda: thm41_group(e, f, tol),
-        "cor42": lambda: cor42_group(e, f, tol),
-        "cor43": lambda: cor43_group(e, f, tol),
-        "cor44": lambda: cor44_group(e, f, lam, tol),
-    }
-    if theorem_id not in table:
-        raise KeyError(f"unknown formula id {theorem_id!r}")
-    return table[theorem_id]()
+    row = REGISTRY[theorem_id]
+    if "EF2-FEF" in row.clauses:  # the commutation formulas take lam
+        return row.body(e, f, lam, tol)
+    return row.body(e, f, tol)

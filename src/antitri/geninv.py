@@ -147,10 +147,9 @@ def spectral_idempotent(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 def group_inverse(a: np.ndarray, tol: float = DEFAULT_TOL) -> GroupResult:
     """Group inverse A^#; raises NoGroupInverseError when ind(a) >= 2."""
     _require_square(a, "group_inverse")
-    k = index_of(a, tol)
-    if k > 1:
-        raise NoGroupInverseError(k)
     r = drazin(a, tol)
+    if r.index > 1:
+        raise NoGroupInverseError(r.index)
     return GroupResult(group=r.drazin, idempotent=r.idempotent)
 
 

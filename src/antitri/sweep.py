@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
-from .conditions import GeneratorRecipe, example_45, generate
-from .formulas import NoGroupInverse, apply_formula
+from .conditions import GeneratorRecipe, InfeasibleRecipeError, example_45, generate
+from .formulas import REGISTRY, InverseKind, NoGroupInverse, apply_formula
 from .oracle import COMPARE_TOL, assemble, compare, oracle_has_group_inverse
 from .geninv import index_of
-
-GROUP_IDS = ("thm31", "cor32", "thm33", "cor34", "cor35", "thm41", "cor42", "cor43", "cor44")
 
 
 @dataclass(frozen=True)
@@ -35,6 +34,29 @@ class SweepSummary:
         return self.failures == 0
 
 
+def _instances(theorem_id: str, violate: str | None, seed: int, nmax: int):
+    """(seed, n, pair) for seeds seed, seed + 1, ... with n = 1 + seed % nmax.
+
+    Seeds whose recipe is infeasible are skipped; nmax of them in a row
+    cover every dimension once, so the recipe can never be met and
+    InfeasibleRecipeError is raised.
+    """
+    misses = 0
+    for inst_seed in itertools.count(seed):
+        n = 1 + (inst_seed % nmax)
+        try:
+            pair = generate(GeneratorRecipe(theorem_id, n, inst_seed, violate=violate))
+        except InfeasibleRecipeError:
+            misses += 1
+            if misses == nmax:
+                raise InfeasibleRecipeError(
+                    f"{theorem_id} violate={violate}: no instance at any n in 1..{nmax}"
+                ) from None
+            continue
+        misses = 0
+        yield inst_seed, n, pair
+
+
 def run_sweep(
     theorem_id: str,
     count: int = 200,
@@ -51,35 +73,25 @@ def run_sweep(
     the formula blocks match the oracle within ``compare_tol`` relative
     Frobenius error, or when formula and oracle agree that no group
     inverse exists.  With ``violate`` set, agreement of the two
-    nonexistence verdicts is what is being swept.
+    nonexistence verdicts is what is being swept.  An unknown id raises
+    KeyError, and a recipe that no dimension can meet raises
+    InfeasibleRecipeError.
     """
+    group = REGISTRY[theorem_id].kind is InverseKind.GROUP
+    instances = _instances(theorem_id, violate, seed, nmax)
+    if theorem_id == "thm41" and violate is None:
+        golden = [(seed, 2, example_45())]
+        instances = itertools.chain(golden, _instances(theorem_id, None, seed + 1, nmax))
     records = []
     max_err = 0.0
     failures = 0
-    produced = 0
-    attempt = 0
-    while produced < count:
-        inst_seed = seed + attempt
-        attempt += 1
-        if theorem_id == "thm41" and violate is None and produced == 0:
-            pair = example_45()
-            n = 2
-        else:
-            n = 1 + (inst_seed % nmax)
-            try:
-                pair = generate(
-                    GeneratorRecipe(
-                        theorem_id=theorem_id, dimension=n, seed=inst_seed, violate=violate
-                    )
-                )
-            except Exception:
-                continue  # infeasible at this dimension: try the next seed
+    for inst_seed, n, pair in itertools.islice(instances, count):
         result = apply_formula(theorem_id, pair.E, pair.F, tol=tol)
         oracle_group_ok, oracle_index = oracle_has_group_inverse(pair, tol)
         if isinstance(result, NoGroupInverse):
             ok = not oracle_group_ok
             rel = None
-        elif violate is not None and theorem_id in GROUP_IDS:
+        elif violate is not None and group:
             # a violated existence clause must be caught, not silently inverted
             ok = oracle_group_ok and compare(result, pair, compare_tol, tol).passed
             rel = None if not ok else 0.0
@@ -100,7 +112,6 @@ def run_sweep(
                 no_group=isinstance(result, NoGroupInverse),
             )
         )
-        produced += 1
     return SweepSummary(
         theorem_id=theorem_id,
         count=count,
@@ -118,27 +129,12 @@ def existence_sweep(
     Uses the formula's violated existence clause; every instance must
     yield a NoGroupInverse verdict matching an oracle index >= 2.
     """
-    clause = {
-        "thm31": "EpiFpi",
-        "cor32": "EpiFpi",
-        "thm33": "FpiEpi",
-        "cor34": "FpiEpi",
-        "thm41": "EEpiFpi",
-        "cor42": "FpiEpiE",
-    }[theorem_id]
+    clause = REGISTRY[theorem_id].existence
+    if clause is None:
+        raise KeyError(f"{theorem_id} has no existence clause that can fail on its own")
     agree = 0
     total = 0
-    attempt = 0
-    while total < count:
-        inst_seed = seed + attempt
-        attempt += 1
-        n = 1 + (inst_seed % nmax)
-        try:
-            pair = generate(
-                GeneratorRecipe(theorem_id=theorem_id, dimension=n, seed=inst_seed, violate=clause)
-            )
-        except Exception:
-            continue
+    for _, _, pair in itertools.islice(_instances(theorem_id, clause, seed, nmax), count):
         result = apply_formula(theorem_id, pair.E, pair.F, tol=tol)
         k = index_of(assemble(pair), tol)
         if isinstance(result, NoGroupInverse) and k >= 2:

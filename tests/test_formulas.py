@@ -601,3 +601,27 @@ def test_idempotent_identity_under_fefpi():
         ed = drazin(e).drazin
         scale = max(1.0, frobenius_norm(e)) * max(1.0, frobenius_norm(f))
         assert frobenius_norm(f @ ed @ rf.idempotent) <= 1e-8 * scale
+
+
+def test_drazin_calls_per_formula(monkeypatch):
+    # each formula needs the Drazin data of E and F only; cor43 and cor44
+    # keep their two up-front index checks as the cheap refusal gate
+    import antitri.formulas as formulas
+    from antitri import THEOREM_IDS, apply_formula
+
+    calls = {"drazin": 0, "index_of": 0}
+    for name in calls:
+        real = getattr(formulas, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(formulas, name, counted)
+    for tid in THEOREM_IDS:
+        pair = generate(GeneratorRecipe(tid, 3, 0))
+        calls.update(drazin=0, index_of=0)
+        out = apply_formula(tid, pair.E, pair.F)
+        assert not isinstance(out, NoGroupInverse), tid
+        assert calls["drazin"] <= 2, (tid, calls)
+        assert calls["index_of"] == (2 if tid in ("cor43", "cor44") else 0), (tid, calls)
