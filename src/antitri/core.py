@@ -208,8 +208,18 @@ def invert(a: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> np.nd
 
 
 def block2x2(tl: np.ndarray, tr: np.ndarray, bl: np.ndarray, br: np.ndarray) -> np.ndarray:
-    """Assemble [[tl, tr], [bl, br]] as one dense matrix."""
-    return np.block([[tl, tr], [bl, br]])
+    """Assemble [[tl, tr], [bl, br]] as one dense complex matrix."""
+    (r, c), (r2, c2) = tl.shape, br.shape
+    if tr.shape != (r, c2) or bl.shape != (r2, c):
+        raise ShapeError(
+            f"blocks do not tile: {tl.shape} {tr.shape} over {bl.shape} {br.shape}"
+        )
+    out = np.empty((r + r2, c + c2), dtype=np.complex128)
+    out[:r, :c] = tl
+    out[:r, c:] = tr
+    out[r:, :c] = bl
+    out[r:, c:] = br
+    return out
 
 
 def split2x2(m: np.ndarray, row: int, col: int):

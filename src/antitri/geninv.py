@@ -10,11 +10,21 @@ Drazin inverse is the group inverse A^#, which additionally satisfies
 A A^# A = A.
 
 Computation is by the full-rank-factorization recursion: factor
-A = B C with B of full column rank and C of full row rank, recurse on
-C B (strictly smaller whenever it is singular), and assemble
-A^D = B ((C B)^D)^2 C.  Base cases: C B invertible -> direct inversion;
-rank 0 -> A^D = 0.  Only pivoted elimination from :mod:`antitri.core`
-is needed.
+A_0 = A = B_0 C_0 with B_0 of full column rank and C_0 of full row
+rank, set A_1 = C_0 B_0, factor again, and so on; then
+A_j^D = B_j (A_(j+1)^D)^2 C_j.  One pivoted elimination per level
+decides rank(A_j), which equals rank(A^(j+1)) (Cline, "Inverses of
+rank invariant powers of a matrix", SIAM J. Numer. Anal. 5, 1968), so
+the same recursion yields the index: it stops at the first level j
+whose rank equals that of the level above (rank(A^0) = n), where A_j
+is invertible and ind(A) = j, or at a level of rank 0, where A is
+nilpotent, A^D = 0 and ind(A) = j + 1.  A call at index k makes at
+most k + 1 factorizations and one inversion, all from
+:mod:`antitri.core`.
+
+The axiom residuals of a :class:`DrazinResult` are computed on first
+read.  :func:`index_of` ranks powers of A directly and stays as an
+independent check of the index.
 
 This module is the independent oracle that every closed-form block
 representation in :mod:`antitri.formulas` is checked against.
@@ -22,7 +32,8 @@ representation in :mod:`antitri.formulas` is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +52,12 @@ from .reports import ConditionEntry, ConditionReport
 
 
 class RankToleranceError(ArithmeticError):
-    """Recursion depth exceeded the dimension: inconsistent rank decisions."""
+    """Recursion depth exceeded the dimension: inconsistent rank decisions.
+
+    :func:`drazin` does not raise it: each level of its recursion is
+    strictly smaller than the one above, so the recursion ends within
+    n + 1 levels.  The class stays for code that catches it.
+    """
 
 
 class NoGroupInverseError(ArithmeticError):
@@ -54,16 +70,23 @@ class NoGroupInverseError(ArithmeticError):
 
 @dataclass(frozen=True)
 class DrazinResult:
-    """Drazin inverse A^D with index, spectral idempotent and residuals.
+    """Drazin inverse A^D of ``source`` with index and spectral idempotent.
 
     ``residuals`` holds the three axiom residuals (commutation, inner,
-    eventual-power), scale-relative as in :func:`verify_drazin_axioms`.
+    eventual-power) of :func:`verify_drazin_axioms` at ``tol``; they are
+    computed on first read and then kept.
     """
 
     drazin: np.ndarray
     index: int
     idempotent: np.ndarray
-    residuals: tuple[float, float, float]
+    source: np.ndarray = field(repr=False)
+    tol: float = field(default=DEFAULT_TOL, repr=False)
+
+    @cached_property
+    def residuals(self) -> tuple[float, float, float]:
+        report = verify_drazin_axioms(self.source, self.drazin, self.index, self.tol)
+        return tuple(e.residual for e in report.entries)
 
 
 @dataclass(frozen=True)
@@ -101,28 +124,29 @@ def index_of(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     return n
 
 
-def _drazin_core(a: np.ndarray, tol: float, floor: float, depth: int, dim: int) -> np.ndarray:
+def _drazin_core(a: np.ndarray, tol: float, floor: float) -> tuple[np.ndarray, int]:
+    """(A^D, ind(A)) from one pass of the full-rank-factorization recursion."""
     n = a.shape[0]
-    if depth > dim + 1:
-        raise RankToleranceError(
-            "full-rank-factorization recursion exceeded the matrix dimension; "
-            f"rank decisions at tol={tol:g} are inconsistent"
-        )
-    f = rank_factorize(a, tol, floor)
-    if f.rank == 0:
-        return zeros(n, n)
-    cb = f.right @ f.left
-    if rank(cb, tol, floor) == f.rank:
-        x = invert(cb, tol, floor)
-        core = x @ x
-    else:
-        d = _drazin_core(cb, tol, floor, depth + 1, dim)
-        core = d @ d
-    return f.left @ core @ f.right
+    levels = []
+    prev_rank = n  # rank(A^j) at level j; rank(A^0) = n
+    while True:
+        f = rank_factorize(a, tol, floor)  # f.rank = rank(A_j) = rank(A^(j+1))
+        if f.rank == prev_rank:  # A_j is invertible and ind(A) = j
+            x = invert(a, tol, floor)
+            break
+        if f.rank == 0:  # A^(j+1) = 0
+            return zeros(n, n), len(levels) + 1
+        levels.append(f)
+        prev_rank = f.rank
+        a = f.right @ f.left
+    index = len(levels)
+    for f in reversed(levels):
+        x = f.left @ (x @ x) @ f.right
+    return x, index
 
 
 def drazin(a: np.ndarray, tol: float = DEFAULT_TOL) -> DrazinResult:
-    """Drazin inverse via the full-rank-factorization recursion.
+    """Drazin inverse and index via the full-rank-factorization recursion.
 
     One absolute pivot floor, tol * max|a|, is fixed at the top level
     and carried through every recursion level so rank decisions stay
@@ -131,12 +155,9 @@ def drazin(a: np.ndarray, tol: float = DEFAULT_TOL) -> DrazinResult:
     """
     _require_square(a, "drazin")
     floor = tol * float(np.max(np.abs(a))) if a.size else 0.0
-    ad = _drazin_core(a, tol, floor, 0, a.shape[0])
-    k = index_of(a, tol)
+    ad, k = _drazin_core(a, tol, floor)
     pi = identity(a.shape[0]) - a @ ad
-    report = verify_drazin_axioms(a, ad, k, tol)
-    res = tuple(e.residual for e in report.entries)
-    return DrazinResult(drazin=ad, index=k, idempotent=pi, residuals=res)
+    return DrazinResult(drazin=ad, index=k, idempotent=pi, source=a.copy(), tol=tol)
 
 
 def spectral_idempotent(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

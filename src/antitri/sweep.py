@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .conditions import GeneratorRecipe, InfeasibleRecipeError, example_45, generate
-from .formulas import REGISTRY, InverseKind, NoGroupInverse, apply_formula
+from .formulas import REGISTRY, HypothesisError, InverseKind, NoGroupInverse, apply_formula
 from .oracle import COMPARE_TOL, assemble, compare, oracle_has_group_inverse
 from .geninv import index_of
 
@@ -73,9 +73,10 @@ def run_sweep(
     the formula blocks match the oracle within ``compare_tol`` relative
     Frobenius error, or when formula and oracle agree that no group
     inverse exists.  With ``violate`` set, agreement of the two
-    nonexistence verdicts is what is being swept.  An unknown id raises
-    KeyError, and a recipe that no dimension can meet raises
-    InfeasibleRecipeError.
+    nonexistence verdicts is what is being swept, and a formula that
+    refuses the pair with HypothesisError passes with no error recorded.
+    An unknown id raises KeyError, and a recipe that no dimension can
+    meet raises InfeasibleRecipeError.
     """
     group = REGISTRY[theorem_id].kind is InverseKind.GROUP
     instances = _instances(theorem_id, violate, seed, nmax)
@@ -86,9 +87,17 @@ def run_sweep(
     max_err = 0.0
     failures = 0
     for inst_seed, n, pair in itertools.islice(instances, count):
-        result = apply_formula(theorem_id, pair.E, pair.F, tol=tol)
+        try:
+            result = apply_formula(theorem_id, pair.E, pair.F, tol=tol)
+        except HypothesisError:
+            if violate is None:
+                raise
+            result = None
         oracle_group_ok, oracle_index = oracle_has_group_inverse(pair, tol)
-        if isinstance(result, NoGroupInverse):
+        if result is None:  # the broken hypothesis was caught
+            ok = True
+            rel = None
+        elif isinstance(result, NoGroupInverse):
             ok = not oracle_group_ok
             rel = None
         elif violate is not None and group:

@@ -139,3 +139,18 @@ def test_empty_matrices_behave_as_zero():
     wide = zeros(0, 3)
     assert np.array_equal(tall @ wide, zeros(3, 3))
     assert frobenius_norm(tall) == 0.0
+
+
+def test_block2x2_matches_np_block_bit_for_bit(rng):
+    from antitri.core import block2x2
+
+    for r in range(4):
+        for z in range(4):  # z = 0 gives the empty blocks the generator builds
+            tl, tr = random_complex(rng, r), random_complex(rng, r, z)
+            bl, br = random_complex(rng, z, r), random_complex(rng, z)
+            got = block2x2(tl, tr, bl, br)
+            want = np.block([[tl, tr], [bl, br]])
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.float64), want.view(np.float64))
+    with pytest.raises(ShapeError):
+        block2x2(zeros(2, 2), zeros(2, 3), zeros(1, 2), zeros(1, 1))  # would broadcast

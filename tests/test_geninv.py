@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from antitri import (
+    GeneratorRecipe,
     NoGroupInverseError,
+    assemble,
     diag,
     drazin,
     frobenius_norm,
+    generate,
     group_inverse,
     identity,
     index_of,
@@ -115,6 +118,47 @@ def _instance_mix(rng, n):
         return a
     p = random_complex(rng, n)  # generic dense
     return p
+
+
+def test_recursion_index_matches_index_of(rng):
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        a = _instance_mix(rng, n)
+        assert drazin(a).index == index_of(a)
+
+
+def test_recursion_index_of_non_normal_instance():
+    # |M|_2 = 548 with eigenvalues near 1; the powers of M have ranks
+    # 6, 5, 4, 3, 3, so ind(M) = 3, where ranking raw powers reads 5
+    m = assemble(generate(GeneratorRecipe("thm25", 3, 1031673702)))
+    assert drazin(m).index == 3
+
+
+def test_drazin_work_per_call(rng, monkeypatch):
+    # one factorization per recursion level plus one inversion, no power
+    # ranks, and the axiom residuals only once they are read
+    import antitri.geninv as geninv
+
+    calls = dict.fromkeys(("rank_factorize", "invert", "index_of", "verify_drazin_axioms"), 0)
+    for name in calls:
+        real = getattr(geninv, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(geninv, name, counted)
+    cases = [identity(3), zeros(3, 3), jordan_nilpotent(4), F45]
+    cases += [_instance_mix(rng, int(rng.integers(1, 9))) for _ in range(40)]
+    for a in cases:
+        for name in calls:
+            calls[name] = 0
+        r = drazin(a)
+        assert calls["rank_factorize"] + calls["invert"] <= r.index + 2, calls
+        assert calls["index_of"] == 0 and calls["verify_drazin_axioms"] == 0, calls
+        residuals = r.residuals
+        assert calls["verify_drazin_axioms"] == 1
+        assert r.residuals is residuals and calls["verify_drazin_axioms"] == 1
 
 
 def test_double_inverse_property(rng):

@@ -30,3 +30,12 @@ def test_clause_infeasible_at_every_dimension_is_rejected(deadline):
     # F E F^pi = 0 forces the E^pi F^pi clause to fail along with FFpi
     with pytest.raises(InfeasibleRecipeError):
         run_sweep("thm31", count=1, violate="FFpi")
+
+
+def test_violated_hypothesis_is_a_passed_refusal(deadline):
+    # a broken hypothesis clause is refused with HypothesisError, which the
+    # sweep records instead of stopping at the first instance
+    for tid, count, clause in (("thm31", 4, "FEFpi"), ("thm23", 4, "EFE"), ("thm25", 8, "F2EFpi")):
+        summary = run_sweep(tid, count=count, violate=clause)
+        assert summary.passed and len(summary.records) == count, tid
+        assert all(r.relative_error is None and not r.no_group for r in summary.records), tid
