@@ -47,7 +47,9 @@ def check_conditions(
     """One residual entry per clause of the named formula.
 
     Residual = Frobenius norm of the clause's left-hand side; threshold
-    = tol * max(1, |E|_F) * max(1, |F|_F).  FFpi/EEpi encode group
+    = tol * max(1, |E|_F) * max(1, |F|_F), or tol * max(1, |E^pi|_F) *
+    max(1, |F^pi|_F) for the idempotent-only EpiFpi/FpiEpi, as in the
+    formulas' own existence gates.  FFpi/EEpi encode group
     invertibility (X group invertible iff X X^pi = 0).  A supplied lam
     adds the EF - lam FE alternative to the commutation clause; the
     either-or clauses take the smaller residual.  The clauses and their
@@ -57,13 +59,14 @@ def check_conditions(
     d = _DrazinData(e, f, tol)
     entries = []
     for name in names:
+        threshold = d.clause_threshold(name)
         if name == "EF2-FEF" and lam is not None:
             name, residual = "EF-lFE|EF2-FEF", min(d.commutation(lam).values())
         else:
             residual = d.residual(name)
         entries.append(
             ConditionEntry(
-                name=name, residual=residual, threshold=d.threshold, passed=residual <= d.threshold
+                name=name, residual=residual, threshold=threshold, passed=residual <= threshold
             )
         )
     return ConditionReport.build(entries)

@@ -14,7 +14,7 @@ eigen/SVD machinery is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,13 +104,28 @@ class RankFactorization:
 
     ``left`` is n x r of full column rank, ``right`` is r x m of full
     row rank; ``rank`` is the numerical rank decided at
-    ``tolerance_used``.  Rank 0 yields empty factors.
+    ``tolerance_used``.  Rank 0 yields empty factors.  The pivoted
+    elimination that decided the rank is kept, so :meth:`inverse` needs
+    no second one.
     """
 
     left: np.ndarray
     right: np.ndarray
     rank: int
     tolerance_used: float
+    _elimination: tuple | None = field(default=None, repr=False, compare=False)
+
+    def inverse(self) -> np.ndarray:
+        """a^-1 of the factored a, bit for bit ``invert(a, tol, floor)``."""
+        lu, prow, pcol = self._elimination
+        n, m = lu.shape
+        if n != m:
+            raise ShapeError(f"inverse requires a square matrix, got {lu.shape}")
+        if self.rank < n:
+            raise SingularMatrixError(
+                f"matrix is singular to tolerance {self.tolerance_used:g} (rank {self.rank} < {n})"
+            )
+        return _substitute(lu, prow, pcol, identity(n))
 
 
 def _eliminate(a: np.ndarray, tol: float, floor: float = 0.0):
@@ -131,7 +146,7 @@ def _eliminate(a: np.ndarray, tol: float, floor: float = 0.0):
     first_pivot = 0.0
     for k in range(min(n, m)):
         sub = np.abs(lu[k:, k:])
-        flat = int(np.argmax(sub))
+        flat = int(sub.argmax())
         i, j = divmod(flat, m - k)
         piv = sub[i, j]
         if k == 0:
@@ -140,12 +155,16 @@ def _eliminate(a: np.ndarray, tol: float, floor: float = 0.0):
             break
         i += k
         j += k
-        if i != k:
-            lu[[k, i], :] = lu[[i, k], :]
-            prow[[k, i]] = prow[[i, k]]
+        if i != k:  # plain copies: fancy-index swaps build index lists and temporaries
+            row = lu[k].copy()
+            lu[k] = lu[i]
+            lu[i] = row
+            prow[k], prow[i] = prow[i], prow[k]
         if j != k:
-            lu[:, [k, j]] = lu[:, [j, k]]
-            pcol[[k, j]] = pcol[[j, k]]
+            col = lu[:, k].copy()
+            lu[:, k] = lu[:, j]
+            lu[:, j] = col
+            pcol[k], pcol[j] = pcol[j], pcol[k]
         rank += 1
         if k + 1 < n:
             lu[k + 1:, k] /= lu[k, k]
@@ -173,7 +192,9 @@ def rank_factorize(
     upper = np.triu(lu[:r, :])
     left[prow, :] = lower
     right[:, pcol] = upper
-    return RankFactorization(left=left, right=right, rank=r, tolerance_used=tol)
+    return RankFactorization(
+        left=left, right=right, rank=r, tolerance_used=tol, _elimination=(lu, prow, pcol)
+    )
 
 
 def rank(a: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> int:
@@ -192,6 +213,12 @@ def solve(
     lu, prow, pcol, r = _eliminate(a, tol, floor)
     if r < n:
         raise SingularMatrixError(f"matrix is singular to tolerance {tol:g} (rank {r} < {n})")
+    return _substitute(lu, prow, pcol, b)
+
+
+def _substitute(lu: np.ndarray, prow: np.ndarray, pcol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a @ x = b from the full-rank elimination (lu, prow, pcol) of square a."""
+    n = lu.shape[0]
     y = np.array(b[prow], dtype=np.complex128, copy=True)
     for k in range(n):  # forward substitution, unit lower triangle
         y[k + 1:] -= np.outer(lu[k + 1:, k], y[k])

@@ -55,7 +55,7 @@ from .core import (
     split2x2,
     zeros,
 )
-from .geninv import DrazinResult, drazin, index_of
+from .geninv import DrazinResult, drazin
 
 
 class Pattern(enum.Enum):
@@ -198,6 +198,12 @@ class _DrazinData:
     def threshold(self) -> float:
         return self.tol * _hyp_scale(self.e, self.f)
 
+    def clause_threshold(self, clause: str) -> float:
+        """Threshold of one clause: ``threshold``, but scale-free for the idempotent-only ones."""
+        if clause in _IDEMPOTENT_CLAUSES:
+            return self.tol * _hyp_scale(self.E.idempotent, self.F.idempotent)
+        return self.threshold
+
     @cached_property
     def E(self) -> DrazinResult:
         if self._transpose_of is None:
@@ -251,6 +257,9 @@ _CLAUSES: dict[str, Callable[[_DrazinData], np.ndarray]] = {
     "EF2-FEF": lambda d: d.e @ d.f @ d.f - d.f @ d.e @ d.f,
 }
 _CLAUSES.update(EFE=_CLAUSES["PQP"], F2E=_CLAUSES["Q2P"])
+# Products of spectral idempotents alone do not grow with E and F, so these
+# are judged against tol * max(1, |E^pi|) * max(1, |F^pi|).
+_IDEMPOTENT_CLAUSES = frozenset({"EpiFpi", "FpiEpi"})
 
 # A clause on (E^T, F^T) is the transpose of its dual on (E, F).
 _DUAL = {"FEFpi": "FpiEF", "EpiFpi": "FpiEpi", "EEpiFpi": "FpiEpiE"}
@@ -689,7 +698,7 @@ def _thm31(d: _DrazinData) -> GroupFormulaBlocks | NoGroupInverse:
     if rf.index > 1:
         failed.append("group_inverse(F)")
         residuals["ind(F)"] = float(rf.index)
-    if residuals["EpiFpi"] > d.threshold:
+    if residuals["EpiFpi"] > d.clause_threshold("EpiFpi"):
         failed.append("EpiFpi")
     if failed:
         return NoGroupInverse(failed=tuple(failed), residuals=residuals)
@@ -938,8 +947,7 @@ def cor43_group(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> Group
 
 def _cor43(d: _DrazinData) -> GroupFormulaBlocks:
     threshold = d.threshold
-    ind_e = index_of(d.e, d.tol)
-    ind_f = index_of(d.f, d.tol)
+    ind_e, ind_f = d.E.index, d.F.index
     if ind_e > 1 or ind_f > 1:
         raise HypothesisError(
             f"both blocks must be group invertible (ind(E) = {ind_e}, ind(F) = {ind_f})",

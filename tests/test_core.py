@@ -154,3 +154,85 @@ def test_block2x2_matches_np_block_bit_for_bit(rng):
             assert np.array_equal(got.view(np.float64), want.view(np.float64))
     with pytest.raises(ShapeError):
         block2x2(zeros(2, 2), zeros(2, 3), zeros(1, 2), zeros(1, 1))  # would broadcast
+
+
+def _reference_eliminate(a, tol, floor=0.0):
+    """The kernel as it was before its pivot swaps went in place: fancy-index swaps."""
+    lu = np.array(a, dtype=np.complex128, copy=True)
+    n, m = lu.shape
+    prow = np.arange(n)
+    pcol = np.arange(m)
+    rank = 0
+    first_pivot = 0.0
+    for k in range(min(n, m)):
+        sub = np.abs(lu[k:, k:])
+        flat = int(np.argmax(sub))
+        i, j = divmod(flat, m - k)
+        piv = sub[i, j]
+        if k == 0:
+            first_pivot = piv
+        if piv <= max(tol * first_pivot, floor) or piv == 0.0:
+            break
+        i += k
+        j += k
+        if i != k:
+            lu[[k, i], :] = lu[[i, k], :]
+            prow[[k, i]] = prow[[i, k]]
+        if j != k:
+            lu[:, [k, j]] = lu[:, [j, k]]
+            pcol[[k, j]] = pcol[[j, k]]
+        rank += 1
+        if k + 1 < n:
+            lu[k + 1:, k] /= lu[k, k]
+            lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    return lu, prow, pcol, rank
+
+
+def _kernel_inputs(rng):
+    """Square, rectangular, rank-deficient, tie-heavy and empty inputs, with floors."""
+    out = [(zeros(0, 0), 0.0), (zeros(0, 3), 0.0), (zeros(3, 0), 0.0), (zeros(3, 3), 0.0)]
+    for t in range(240):
+        n, m = (int(x) for x in rng.integers(1, 9, 2))
+        if t % 3 == 0:
+            m = n
+        a = random_complex(rng, n, m)
+        if t % 4 == 1:  # rank-deficient product
+            r = int(rng.integers(0, min(n, m) + 1))
+            a = random_complex(rng, n, r) @ random_complex(rng, r, m)
+        elif t % 4 == 2:  # integer entries: many tied pivot candidates
+            a = matrix(np.round(2 * a.real))
+        floor = 0.0 if t % 2 else float(rng.uniform(0, 0.5)) * float(np.max(np.abs(a)))
+        out.append((a, floor))
+    return out
+
+
+def test_eliminate_matches_fancy_index_reference_bit_for_bit(rng):
+    from antitri.core import _eliminate
+
+    for a, floor in _kernel_inputs(rng):
+        for tol in (1e-10, 1e-3):
+            lu, prow, pcol, r = _eliminate(a, tol, floor)
+            ref_lu, ref_prow, ref_pcol, ref_r = _reference_eliminate(a, tol, floor)
+            assert r == ref_r
+            assert np.array_equal(lu.view(np.float64), ref_lu.view(np.float64))
+            assert np.array_equal(prow, ref_prow) and np.array_equal(pcol, ref_pcol)
+
+
+def test_factorization_inverse_is_invert_bit_for_bit(rng):
+    checked = 0
+    for a, floor in _kernel_inputs(rng):
+        n, m = a.shape
+        f = rank_factorize(a, 1e-10, floor)
+        if n != m:
+            with pytest.raises(ShapeError):
+                f.inverse()
+        elif f.rank < n:
+            with pytest.raises(SingularMatrixError):
+                f.inverse()
+            with pytest.raises(SingularMatrixError):
+                invert(a, 1e-10, floor)
+        else:
+            want = invert(a, 1e-10, floor)
+            assert np.array_equal(f.inverse().view(np.float64), want.view(np.float64))
+            checked += 1
+    assert checked >= 40

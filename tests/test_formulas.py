@@ -408,6 +408,25 @@ def test_cor35_commutation_gate():
     assert "EF2-FEF" in err.value.residuals
 
 
+@pytest.mark.parametrize("tid,seed", [("thm31", 1), ("cor32", 1), ("thm33", 1), ("cor34", 1), ("cor35", 3)])
+def test_idempotent_existence_clause_is_scale_free(tid, seed):
+    # E^pi F^pi does not grow with E and F: a threshold that grows as
+    # |E| |F| passes a violated pair at scale 1e6 and returns blocks for an
+    # M that has no group inverse.  The formula gate and check_conditions agree.
+    from antitri import apply_formula, check_conditions
+    from antitri.formulas import REGISTRY
+
+    clause = REGISTRY[tid].existence
+    bad = generate(GeneratorRecipe(tid, 3, seed, violate=clause))
+    good = generate(GeneratorRecipe(tid, 3, seed))
+    for s in (1.0, 1e-6, 1e6):
+        out = apply_formula(tid, bad.E * s, bad.F * s)
+        assert isinstance(out, NoGroupInverse) and clause in out.failed, (s, out)
+        entry = check_conditions(bad.E * s, bad.F * s, tid).entry(clause)
+        assert not entry.passed and entry.residual == pytest.approx(out.residuals[clause]), s
+        assert not isinstance(apply_formula(tid, good.E * s, good.F * s), NoGroupInverse), s
+
+
 def test_thm41_golden_fixture():
     out = thm41_group(E45, F45)
     assert np.max(np.abs(out.assemble() - M45_GROUP)) <= 1e-12
@@ -604,27 +623,29 @@ def test_idempotent_identity_under_fefpi():
 
 
 def test_drazin_calls_per_formula(monkeypatch):
-    # each formula needs the Drazin data of E and F only; cor43 and cor44
-    # keep their two up-front index checks as the cheap refusal gate
+    # each formula needs the Drazin data of E and F only; the cor43 and
+    # cor44 gates read ind(E) and ind(F) from that data, not from index_of
     import antitri.formulas as formulas
+    import antitri.geninv as geninv
     from antitri import THEOREM_IDS, apply_formula
 
     calls = {"drazin": 0, "index_of": 0}
-    for name in calls:
-        real = getattr(formulas, name)
+    for module, name in ((formulas, "drazin"), (geninv, "index_of")):
+        real = getattr(module, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(formulas, name, counted)
+        monkeypatch.setattr(module, name, counted)
+    assert not hasattr(formulas, "index_of")
     for tid in THEOREM_IDS:
         pair = generate(GeneratorRecipe(tid, 3, 0))
         calls.update(drazin=0, index_of=0)
         out = apply_formula(tid, pair.E, pair.F)
         assert not isinstance(out, NoGroupInverse), tid
         assert calls["drazin"] <= 2, (tid, calls)
-        assert calls["index_of"] == (2 if tid in ("cor43", "cor44") else 0), (tid, calls)
+        assert calls["index_of"] == 0, (tid, calls)
 
 
 def test_transposed_drazin_data_residuals_are_of_the_transpose():
