@@ -33,7 +33,7 @@ from .conditions import (
     example_45,
     generate,
 )
-from .core import ShapeError, matrix
+from .core import matrix
 from .formulas import (
     BlockPair,
     BlockResult,
@@ -348,13 +348,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except ShapeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as err:
+    except (InputError, ValueError) as err:  # ShapeError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
 

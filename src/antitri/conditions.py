@@ -21,6 +21,7 @@ the untransposed family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -260,9 +261,8 @@ def _build_thm25(rng, n, violate, recipe):
         if k2 and cols:
             e22[np.ix_(k2, cols)] = _free(rng, len(k2), len(cols))
     elif violate == "EFEFpi":  # E22 N E22 != 0 while N^2 E22 = 0
-        at = sum(sizes[:0])  # lead block starts at 0
-        e22[at + 1, at] = 1.0
-        e22[at + 1, at + 1] = 1.0
+        e22[1, 0] = 1.0  # lead block starts at 0
+        e22[1, 1] = 1.0
     else:  # N^2 E22 != 0 while E22 N E22 = 0
         e22[2, 2] = 1.0  # lead block has size 3 at offset 0
     e11 = _free(rng, r, r)
@@ -473,19 +473,19 @@ def _build_commuting(rng, n, violate, recipe, need_group_e: bool):
 
 
 _BUILDERS = {
-    "thm23": lambda rng, n, v, rec: _build_thm23(rng, n, v, rec),
-    "thm25": lambda rng, n, v, rec: _build_thm25(rng, n, v, rec),
-    "cor26": lambda rng, n, v, rec: _build_thm25(rng, n, v, rec),
-    "thm27": lambda rng, n, v, rec: _build_thm25(rng, n, v, rec),
-    "thm31": lambda rng, n, v, rec: _build_group_eif0(rng, n, v, rec, transposed=False),
-    "cor32": lambda rng, n, v, rec: _build_group_eif0(rng, n, v, rec, transposed=False),
-    "thm33": lambda rng, n, v, rec: _build_group_eif0(rng, n, v, rec, transposed=True),
-    "cor34": lambda rng, n, v, rec: _build_group_eif0(rng, n, v, rec, transposed=True),
-    "cor35": lambda rng, n, v, rec: _build_commuting(rng, n, v, rec, need_group_e=False),
-    "thm41": lambda rng, n, v, rec: _build_identical(rng, n, v, rec, transposed=False),
-    "cor42": lambda rng, n, v, rec: _build_identical(rng, n, v, rec, transposed=True),
-    "cor43": lambda rng, n, v, rec: _build_cor43(rng, n, v, rec),
-    "cor44": lambda rng, n, v, rec: _build_commuting(rng, n, v, rec, need_group_e=True),
+    "thm23": _build_thm23,
+    "thm25": _build_thm25,
+    "cor26": _build_thm25,
+    "thm27": _build_thm25,
+    "thm31": partial(_build_group_eif0, transposed=False),
+    "cor32": partial(_build_group_eif0, transposed=False),
+    "thm33": partial(_build_group_eif0, transposed=True),
+    "cor34": partial(_build_group_eif0, transposed=True),
+    "cor35": partial(_build_commuting, need_group_e=False),
+    "thm41": partial(_build_identical, transposed=False),
+    "cor42": partial(_build_identical, transposed=True),
+    "cor43": _build_cor43,
+    "cor44": partial(_build_commuting, need_group_e=True),
 }
 
 

@@ -55,26 +55,6 @@ def diag(*entries) -> np.ndarray:
     return np.diag(np.array(entries, dtype=np.complex128))
 
 
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch for add: {a.shape} vs {b.shape}")
-    return a + b
-
-
-def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"shape mismatch for mul: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def transpose(a: np.ndarray) -> np.ndarray:
-    return a.T.copy()
-
-
-def conj_transpose(a: np.ndarray) -> np.ndarray:
-    return a.conj().T.copy()
-
-
 def frobenius_norm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0

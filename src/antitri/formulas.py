@@ -442,6 +442,32 @@ def thm23(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult
     )
 
 
+def _q_series(alpha, beta, gamma, alpha_d, m_cap: int):
+    """lam, sig, gam, delt and eps, zeta, eta, theta of Q = alpha + beta + gamma.
+
+    Shared by the statement route (n x n symbols) and the constructive
+    route (their 2n x 2n embeddings); the inner series is cut after
+    m_cap + 1 terms.
+    """
+    ident = identity(alpha.shape[0])
+    bc = beta @ gamma
+    lam = sig = gam = delt = zeros(*alpha.shape)  # rebound, never written in place
+    lead = ident + bc @ alpha_d @ alpha_d
+    bci = ident
+    for i in range(m_cap + 1):
+        ad_odd = matrix_power(alpha_d, 2 * i + 1)
+        lam = lam + lead @ ad_odd @ bci
+        sig = sig + lead @ ad_odd @ alpha_d @ bci
+        gam = gam + bc @ ad_odd @ alpha_d @ bci
+        delt = delt + bc @ ad_odd @ alpha_d @ alpha_d @ bci
+        bci = bci @ bc
+    eps = (alpha @ lam + gam) @ lam + (alpha @ sig + delt) @ gam
+    zeta = (alpha @ lam + gam) @ sig @ beta + (alpha @ sig + delt) @ delt @ beta
+    eta = gamma @ lam @ lam + gamma @ sig @ gam
+    theta = gamma @ lam @ sig @ beta + gamma @ sig @ delt @ beta
+    return lam, sig, gam, delt, eps, zeta, eta, theta
+
+
 def _anti_triangular(
     d: _DrazinData, kind: InverseKind = InverseKind.G_DRAZIN
 ) -> tuple[BlockResult, Thm25Intermediates]:
@@ -481,24 +507,7 @@ def _anti_triangular(
     k_cap = ra.index + 2 * ind_f  # outer series cut
 
     # -- statement-level series (n x n), diagnostics + white-box intermediates
-    bc = beta @ gamma
-    lam_s = zeros(n, n)
-    sig_s = zeros(n, n)
-    gam_s = zeros(n, n)
-    del_s = zeros(n, n)
-    lead = ident + bc @ alpha_d @ alpha_d
-    bci = ident
-    for i in range(m_cap + 1):
-        ad_odd = matrix_power(alpha_d, 2 * i + 1)
-        lam_s = lam_s + lead @ ad_odd @ bci
-        sig_s = sig_s + lead @ ad_odd @ alpha_d @ bci
-        gam_s = gam_s + bc @ ad_odd @ alpha_d @ bci
-        del_s = del_s + bc @ ad_odd @ alpha_d @ alpha_d @ bci
-        bci = bci @ bc
-    eps = (alpha @ lam_s + gam_s) @ lam_s + (alpha @ sig_s + del_s) @ gam_s
-    zeta = (alpha @ lam_s + gam_s) @ sig_s @ beta + (alpha @ sig_s + del_s) @ del_s @ beta
-    eta = gamma @ lam_s @ lam_s + gamma @ sig_s @ gam_s
-    theta = gamma @ lam_s @ sig_s @ beta + gamma @ sig_s @ del_s @ beta
+    lam_s, sig_s, gam_s, del_s, eps, zeta, eta, theta = _q_series(alpha, beta, gamma, alpha_d, m_cap)
 
     eps_seq, zeta_seq, eta_seq, theta_seq = [eps], [zeta], [eta], [theta]
     for _ in range(k_cap):
@@ -536,24 +545,7 @@ def _anti_triangular(
     al2_d = block2x2(alpha_d, z, z, z)
     i2 = identity(2 * n)
 
-    bg2 = be2 @ ga2
-    lam2 = np.zeros_like(i2)
-    sig2 = np.zeros_like(i2)
-    gam2 = np.zeros_like(i2)
-    del2 = np.zeros_like(i2)
-    lead2 = i2 + bg2 @ al2_d @ al2_d
-    bgi = i2
-    for i in range(m_cap + 1):
-        ad_odd = matrix_power(al2_d, 2 * i + 1)
-        lam2 = lam2 + lead2 @ ad_odd @ bgi
-        sig2 = sig2 + lead2 @ ad_odd @ al2_d @ bgi
-        gam2 = gam2 + bg2 @ ad_odd @ al2_d @ bgi
-        del2 = del2 + bg2 @ ad_odd @ al2_d @ al2_d @ bgi
-        bgi = bgi @ bg2
-    eps2 = (al2 @ lam2 + gam2) @ lam2 + (al2 @ sig2 + del2) @ gam2
-    zeta2 = (al2 @ lam2 + gam2) @ sig2 @ be2 + (al2 @ sig2 + del2) @ del2 @ be2
-    eta2 = ga2 @ lam2 @ lam2 + ga2 @ sig2 @ gam2
-    theta2 = ga2 @ lam2 @ sig2 @ be2 + ga2 @ sig2 @ del2 @ be2
+    *_, eps2, zeta2, eta2, theta2 = _q_series(al2, be2, ga2, al2_d, m_cap)
 
     q2 = al2 + be2 + ga2
     qd2 = eps2 + zeta2 + eta2 + theta2

@@ -51,15 +51,6 @@ from .core import (
 from .reports import ConditionEntry, ConditionReport
 
 
-class RankToleranceError(ArithmeticError):
-    """Recursion depth exceeded the dimension: inconsistent rank decisions.
-
-    :func:`drazin` does not raise it: each level of its recursion is
-    strictly smaller than the one above, so the recursion ends within
-    n + 1 levels.  The class stays for code that catches it.
-    """
-
-
 class NoGroupInverseError(ArithmeticError):
     """The matrix has Drazin index >= 2, so no group inverse exists."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import block2x2, frobenius_norm, identity, zeros
-from .geninv import DrazinResult, GroupResult, drazin, index_of, verify_drazin_axioms
+from .geninv import DrazinResult, GroupResult, drazin, verify_drazin_axioms
 from .formulas import BlockPair, BlockResult, GroupFormulaBlocks, InverseKind, NoGroupInverse, Pattern
 from .reports import ConditionReport
 
@@ -91,6 +91,6 @@ def compare(
 
 
 def oracle_has_group_inverse(pair: BlockPair, tol: float = 1e-10) -> tuple[bool, int]:
-    """(index <= 1, index) for the assembled matrix."""
-    k = index_of(assemble(pair), tol)
+    """(index <= 1, index) for the assembled matrix, the index read off ``drazin``."""
+    k = drazin(assemble(pair), tol).index
     return k <= 1, k

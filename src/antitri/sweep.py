@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 
 from .conditions import GeneratorRecipe, InfeasibleRecipeError, example_45, generate
 from .formulas import REGISTRY, HypothesisError, InverseKind, NoGroupInverse, apply_formula
-from .oracle import COMPARE_TOL, assemble, compare, oracle_has_group_inverse
-from .geninv import index_of
+from .oracle import COMPARE_TOL, compare, oracle_has_group_inverse
 
 
 @dataclass(frozen=True)
@@ -75,8 +74,11 @@ def run_sweep(
     inverse exists.  With ``violate`` set, agreement of the two
     nonexistence verdicts is what is being swept, and a formula that
     refuses the pair with HypothesisError passes with no error recorded.
-    An unknown id raises KeyError, and a recipe that no dimension can
-    meet raises InfeasibleRecipeError.
+    Each instance costs one Drazin inverse of the assembled M: in
+    :func:`compare` when the formula returns blocks, in
+    :func:`oracle_has_group_inverse` otherwise; either gives the
+    recorded ``oracle_index``.  An unknown id raises KeyError, and a
+    recipe that no dimension can meet raises InfeasibleRecipeError.
     """
     group = REGISTRY[theorem_id].kind is InverseKind.GROUP
     instances = _instances(theorem_id, violate, seed, nmax)
@@ -93,22 +95,21 @@ def run_sweep(
             if violate is None:
                 raise
             result = None
-        oracle_group_ok, oracle_index = oracle_has_group_inverse(pair, tol)
-        if result is None:  # the broken hypothesis was caught
-            ok = True
-            rel = None
-        elif isinstance(result, NoGroupInverse):
-            ok = not oracle_group_ok
-            rel = None
-        elif violate is not None and group:
-            # a violated existence clause must be caught, not silently inverted
-            ok = oracle_group_ok and compare(result, pair, compare_tol, tol).passed
-            rel = None if not ok else 0.0
+        rel = None
+        if result is None or isinstance(result, NoGroupInverse):
+            oracle_group_ok, oracle_index = oracle_has_group_inverse(pair, tol)
+            ok = result is None or not oracle_group_ok  # a caught broken hypothesis passes
         else:
             verdict = compare(result, pair, compare_tol, tol)
+            oracle_index = verdict.oracle_index
             ok = verdict.passed
-            rel = verdict.relative_error
-            max_err = max(max_err, rel)
+            if violate is not None and group:
+                # a violated existence clause must be caught, not silently inverted
+                ok = ok and oracle_index <= 1
+                rel = 0.0 if ok else None
+            else:
+                rel = verdict.relative_error
+                max_err = max(max_err, rel)
         if not ok:
             failures += 1
         records.append(
@@ -135,18 +136,13 @@ def existence_sweep(
 ) -> tuple[int, int]:
     """(agreements, total) between formula nonexistence and oracle index >= 2.
 
-    Uses the formula's violated existence clause; every instance must
-    yield a NoGroupInverse verdict matching an oracle index >= 2.
+    Runs :func:`run_sweep` with the formula's existence clause violated;
+    every instance must yield a NoGroupInverse verdict matching an
+    oracle index >= 2.  A formula that refuses the pair with
+    HypothesisError counts as a disagreement.
     """
     clause = REGISTRY[theorem_id].existence
     if clause is None:
         raise KeyError(f"{theorem_id} has no existence clause that can fail on its own")
-    agree = 0
-    total = 0
-    for _, _, pair in itertools.islice(_instances(theorem_id, clause, seed, nmax), count):
-        result = apply_formula(theorem_id, pair.E, pair.F, tol=tol)
-        k = index_of(assemble(pair), tol)
-        if isinstance(result, NoGroupInverse) and k >= 2:
-            agree += 1
-        total += 1
-    return agree, total
+    records = run_sweep(theorem_id, count, nmax, seed, tol, violate=clause).records
+    return sum(r.no_group and r.oracle_index >= 2 for r in records), len(records)

@@ -6,18 +6,14 @@ from hypothesis import strategies as st
 from antitri import (
     ShapeError,
     SingularMatrixError,
-    add,
-    conj_transpose,
     diag,
     frobenius_norm,
     identity,
     invert,
     matrix,
     matrix_power,
-    mul,
     rank_factorize,
     solve,
-    transpose,
     zeros,
 )
 from conftest import jordan_nilpotent, random_complex, rel_err, well_conditioned
@@ -30,34 +26,6 @@ def test_matrix_rejects_non_finite():
         matrix([[np.inf]])
     with pytest.raises(ShapeError):
         matrix([1, 2, 3])
-
-
-def test_add_identities():
-    z = zeros(2, 2)
-    assert np.array_equal(add(z, z), z)
-    a = matrix([[1, 2], [3, 4]])
-    assert np.array_equal(add(a, -a), z)
-    assert np.array_equal(add(matrix([[1]]), matrix([[1j]])), matrix([[1 + 1j]]))
-    with pytest.raises(ShapeError):
-        add(zeros(2, 2), zeros(3, 3))
-
-
-def test_mul_identities():
-    a = matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    assert np.allclose(mul(identity(3), a), a)
-    assert np.array_equal(mul(a, zeros(3, 3)), zeros(3, 3))
-    n = jordan_nilpotent(2)
-    assert np.array_equal(mul(n, n), zeros(2, 2))
-    with pytest.raises(ShapeError):
-        mul(zeros(2, 3), zeros(2, 3))
-
-
-def test_transpose_examples():
-    assert np.array_equal(transpose(identity(3)), identity(3))
-    a = matrix([[1j, 2], [3, 4 - 1j]])
-    assert np.array_equal(transpose(transpose(a)), a)
-    assert np.array_equal(transpose(matrix([[1j, 1j], [0, 0]])), matrix([[1j, 0], [1j, 0]]))
-    assert np.array_equal(conj_transpose(matrix([[1j]])), matrix([[-1j]]))
 
 
 def test_frobenius_norm_examples():

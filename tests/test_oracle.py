@@ -21,6 +21,7 @@ from antitri import (
     verify_drazin_axioms,
     zeros,
 )
+from antitri.oracle import oracle_has_group_inverse
 from conftest import assert_close, jordan_nilpotent
 
 
@@ -106,3 +107,11 @@ def test_pattern_coherence_similarity():
     p_inv = np.block([[e, identity(n)], [identity(n), zeros(n, n)]])
     assert frobenius_norm(p_inv @ p - identity(2 * n)) == 0
     assert frobenius_norm(m_efi0 - p_inv @ m_eif0 @ p) <= 1e-12
+
+
+def test_group_existence_reads_the_drazin_index():
+    # non-normal M, |M|_2 = 67, SVD ranks of its powers 8, 7, 6, 5, 4, 3, 3:
+    # index 5, where ranking raw powers against an absolute floor reads 8
+    pair = generate(GeneratorRecipe("thm25", 4, 35))
+    assert oracle_has_group_inverse(pair) == (False, 5)
+    assert oracle_has_group_inverse(example_45()) == (True, 1)

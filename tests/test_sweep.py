@@ -2,7 +2,9 @@ import signal
 
 import pytest
 
-from antitri import InfeasibleRecipeError, existence_sweep, run_sweep
+import antitri.oracle
+import antitri.sweep
+from antitri import THEOREM_IDS, InfeasibleRecipeError, existence_sweep, run_sweep
 
 
 @pytest.fixture
@@ -39,3 +41,22 @@ def test_violated_hypothesis_is_a_passed_refusal(deadline):
         summary = run_sweep(tid, count=count, violate=clause)
         assert summary.passed and len(summary.records) == count, tid
         assert all(r.relative_error is None and not r.no_group for r in summary.records), tid
+
+
+def test_one_oracle_drazin_per_record(monkeypatch):
+    # ind(M) is read off the one Drazin inverse of M that decides the record,
+    # in compare or in oracle_has_group_inverse, never from index_of
+    assert not hasattr(antitri.oracle, "index_of")
+    assert not hasattr(antitri.sweep, "index_of")
+    calls = []
+    inner = antitri.oracle.drazin
+
+    def counted(a, tol):
+        calls.append(a.shape)
+        return inner(a, tol)
+
+    monkeypatch.setattr(antitri.oracle, "drazin", counted)
+    for tid in THEOREM_IDS:
+        calls.clear()
+        summary = run_sweep(tid, count=8)
+        assert summary.passed and len(calls) == len(summary.records) == 8, tid
