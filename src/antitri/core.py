@@ -8,13 +8,14 @@ objects with dtype ``complex128``; :func:`matrix` is the validating
 constructor that rejects non-finite entries.
 
 Rank decisions use Gaussian elimination with complete pivoting and a
-threshold relative to the largest pivot (default ``1e-10``).  No
-eigen/SVD machinery is used anywhere.
+threshold relative to the largest pivot (default ``1e-10``); solves are
+LAPACK LU, run once it has certified full rank.  No eigen/SVD anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -78,34 +79,61 @@ def matrix_power(a: np.ndarray, k: int) -> np.ndarray:
     return result
 
 
+@lru_cache(maxsize=256)
+def _below(n: int, m: int) -> np.ndarray:
+    """np.tri(n, m, -1, dtype=bool), kept: the mask np.tril and np.triu rebuild on every call."""
+    mask = np.tri(n, m, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 @dataclass(frozen=True)
 class RankFactorization:
     """Full-rank factorization a ~ left @ right.
 
     ``left`` is n x r of full column rank, ``right`` is r x m of full
     row rank; ``rank`` is the numerical rank decided at
-    ``tolerance_used``.  Rank 0 yields empty factors.  The pivoted
-    elimination that decided the rank is kept, so :meth:`inverse` needs
-    no second one.
+    ``tolerance_used``.  Rank 0 yields empty factors.  Only the pivoted
+    elimination that decided the rank is kept: ``left`` and ``right``
+    are built from it on first read, so a caller that needs only the
+    rank or :meth:`inverse` never builds them.
     """
 
-    left: np.ndarray
-    right: np.ndarray
     rank: int
     tolerance_used: float
-    _elimination: tuple | None = field(default=None, repr=False, compare=False)
+    _elimination: tuple = field(repr=False, compare=False)  # (lu, prow, pcol)
+    _matrix: np.ndarray = field(repr=False, compare=False)  # private copy of a
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        # PAQ = LU  =>  A = (P^T L)(U Q^T); undo the row permutation.
+        lu, prow, _ = self._elimination
+        n, r = lu.shape[0], self.rank
+        lower = np.where(_below(n, r), lu[:, :r], 0)  # np.tril(lu[:, :r], -1)
+        np.fill_diagonal(lower, 1.0)
+        return lower[np.argsort(prow)]
+
+    @cached_property
+    def right(self) -> np.ndarray:
+        lu, _, pcol = self._elimination
+        r, m = self.rank, lu.shape[1]
+        right = np.empty((r, m), dtype=np.complex128)
+        right[:, pcol] = np.where(_below(r, m), 0, lu[:r])  # np.triu(lu[:r])
+        return right
 
     def inverse(self) -> np.ndarray:
         """a^-1 of the factored a, bit for bit ``invert(a, tol, floor)``."""
-        lu, prow, pcol = self._elimination
-        n, m = lu.shape
+        return self._solve(identity(self._matrix.shape[0]))
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        n, m = self._matrix.shape
         if n != m:
-            raise ShapeError(f"inverse requires a square matrix, got {lu.shape}")
+            raise ShapeError(f"solve requires a square matrix, got {self._matrix.shape}")
         if self.rank < n:
             raise SingularMatrixError(
                 f"matrix is singular to tolerance {self.tolerance_used:g} (rank {self.rank} < {n})"
             )
-        return _substitute(lu, prow, pcol, identity(n))
+        return np.linalg.solve(self._matrix, b)
 
 
 def _eliminate(a: np.ndarray, tol: float, floor: float = 0.0):
@@ -120,19 +148,18 @@ def _eliminate(a: np.ndarray, tol: float, floor: float = 0.0):
     """
     lu = np.array(a, dtype=np.complex128, copy=True)
     n, m = lu.shape
-    prow = np.arange(n)
-    pcol = np.arange(m)
+    prow = list(range(n))
+    pcol = list(range(m))
     rank = 0
-    first_pivot = 0.0
     for k in range(min(n, m)):
         sub = np.abs(lu[k:, k:])
         flat = int(sub.argmax())
-        i, j = divmod(flat, m - k)
-        piv = sub[i, j]
+        piv = sub.item(flat)
         if k == 0:
-            first_pivot = piv
-        if piv <= max(tol * first_pivot, floor) or piv == 0.0:
+            cut = max(tol * piv, floor)
+        if piv <= cut or piv == 0.0:
             break
+        i, j = divmod(flat, m - k)
         i += k
         j += k
         if i != k:  # plain copies: fancy-index swaps build index lists and temporaries
@@ -149,7 +176,7 @@ def _eliminate(a: np.ndarray, tol: float, floor: float = 0.0):
         if k + 1 < n:
             lu[k + 1:, k] /= lu[k, k]
             lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, prow, pcol, rank
+    return lu, np.array(prow, dtype=np.intp), np.array(pcol, dtype=np.intp), rank
 
 
 def rank_factorize(
@@ -162,19 +189,9 @@ def rank_factorize(
     """
     if tol <= 0:
         raise ValueError("rank_factorize requires tol > 0")
-    n, m = a.shape
     lu, prow, pcol, r = _eliminate(a, tol, floor)
-    left = np.zeros((n, r), dtype=np.complex128)
-    right = np.zeros((r, m), dtype=np.complex128)
-    # PAQ = LU  =>  A = (P^T L)(U Q^T); undo the permutations row/col-wise.
-    lower = np.tril(lu[:, :r], -1)
-    lower[np.arange(min(n, r)), np.arange(min(n, r))] = 1.0
-    upper = np.triu(lu[:r, :])
-    left[prow, :] = lower
-    right[:, pcol] = upper
-    return RankFactorization(
-        left=left, right=right, rank=r, tolerance_used=tol, _elimination=(lu, prow, pcol)
-    )
+    copy = np.array(a, dtype=np.complex128, copy=True)
+    return RankFactorization(rank=r, tolerance_used=tol, _elimination=(lu, prow, pcol), _matrix=copy)
 
 
 def rank(a: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> int:
@@ -184,30 +201,10 @@ def rank(a: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> int:
 def solve(
     a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0
 ) -> np.ndarray:
-    """Solve a @ x = b; raises SingularMatrixError when a is singular to tol."""
-    n, m = a.shape
-    if n != m:
-        raise ShapeError("solve requires a square coefficient matrix")
-    if b.shape[0] != n:
+    """Solve a @ x = b (b 1-d or 2-d) by LAPACK LU; SingularMatrixError if a is singular to tol."""
+    if b.shape[0] != a.shape[0]:
         raise ShapeError(f"shape mismatch for solve: {a.shape} vs {b.shape}")
-    lu, prow, pcol, r = _eliminate(a, tol, floor)
-    if r < n:
-        raise SingularMatrixError(f"matrix is singular to tolerance {tol:g} (rank {r} < {n})")
-    return _substitute(lu, prow, pcol, b)
-
-
-def _substitute(lu: np.ndarray, prow: np.ndarray, pcol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with a @ x = b from the full-rank elimination (lu, prow, pcol) of square a."""
-    n = lu.shape[0]
-    y = np.array(b[prow], dtype=np.complex128, copy=True)
-    for k in range(n):  # forward substitution, unit lower triangle
-        y[k + 1:] -= np.outer(lu[k + 1:, k], y[k])
-    for k in range(n - 1, -1, -1):  # back substitution
-        y[k] /= lu[k, k]
-        y[:k] -= np.outer(lu[:k, k], y[k])
-    x = np.zeros_like(y)
-    x[pcol] = y
-    return x
+    return rank_factorize(a, tol, floor)._solve(b)
 
 
 def invert(a: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> np.ndarray:

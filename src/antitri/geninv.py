@@ -20,8 +20,8 @@ whose rank equals that of the level above (rank(A^0) = n), where A_j
 is invertible and ind(A) = j, or at a level of rank 0, where A is
 nilpotent, A^D = 0 and ind(A) = j + 1.  A call at index k makes at
 most k + 1 pivoted eliminations, one per level, all through
-:func:`antitri.core.rank_factorize`; the innermost one also gives the
-inverse of the invertible level.
+:func:`antitri.core.rank_factorize`.  Only singular levels build their
+factors B_j, C_j; the invertible level goes to one LAPACK LU solve.
 
 The axiom residuals of a :class:`DrazinResult` are computed on first
 read.  :func:`index_of` ranks powers of A directly and stays as an
@@ -123,7 +123,7 @@ def _drazin_core(a: np.ndarray, tol: float, floor: float) -> tuple[np.ndarray, i
     while True:
         f = rank_factorize(a, tol, floor)  # f.rank = rank(A_j) = rank(A^(j+1))
         if f.rank == prev_rank:  # A_j is invertible and ind(A) = j
-            x = f.inverse()  # from the elimination rank_factorize just ran
+            x = f.inverse()  # LAPACK LU, full rank certified by that elimination
             break
         if f.rank == 0:  # A^(j+1) = 0
             return zeros(n, n), len(levels) + 1

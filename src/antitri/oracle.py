@@ -66,10 +66,11 @@ def compare(
     tol: float = COMPARE_TOL,
     compute_tol: float = 1e-10,
 ) -> ComparisonVerdict:
-    """Relative Frobenius error of the formula blocks against the oracle.
+    """Relative Frobenius error ||X - M^D|| / ||M^D|| of the formula blocks X.
 
-    The formula output is additionally re-verified against the Drazin
-    axioms for the assembled matrix (at the oracle's index).
+    Unclamped, so a small M^D is judged on its own scale (absolute error
+    only when M^D = 0).  X is also re-verified against the Drazin axioms
+    for the assembled matrix (at the oracle's index).
     """
     if formula.pattern is not pair.pattern:
         raise ValueError(f"pattern mismatch: formula {formula.pattern} vs pair {pair.pattern}")
@@ -78,7 +79,7 @@ def compare(
     assembled = formula.assemble()
     if assembled.shape != m.shape:
         raise ValueError(f"shape mismatch: formula {assembled.shape} vs assembled {m.shape}")
-    rel = frobenius_norm(assembled - oracle.drazin) / max(1.0, frobenius_norm(oracle.drazin))
+    rel = frobenius_norm(assembled - oracle.drazin) / (frobenius_norm(oracle.drazin) or 1.0)
     axioms = verify_drazin_axioms(m, assembled, oracle.index, compute_tol)
     return ComparisonVerdict(
         relative_error=rel,

@@ -204,3 +204,59 @@ def test_factorization_inverse_is_invert_bit_for_bit(rng):
             assert np.array_equal(f.inverse().view(np.float64), want.view(np.float64))
             checked += 1
     assert checked >= 40
+
+
+def _reference_factors(lu, prow, pcol, r):
+    """The factors as rank_factorize built them eagerly: np.tril / np.triu."""
+    n, m = lu.shape
+    left = np.zeros((n, r), dtype=np.complex128)
+    right = np.zeros((r, m), dtype=np.complex128)
+    lower = np.tril(lu[:, :r], -1)
+    lower[np.arange(r), np.arange(r)] = 1.0
+    left[prow, :] = lower
+    right[:, pcol] = np.triu(lu[:r, :])
+    return left, right
+
+
+def test_lazy_factors_match_tril_triu_reference_bit_for_bit(rng):
+    for a, floor in _kernel_inputs(rng):
+        for tol in (1e-10, 1e-3):
+            f = rank_factorize(a, tol, floor)
+            assert "left" not in f.__dict__ and "right" not in f.__dict__
+            left, right = _reference_factors(*f._elimination, f.rank)
+            assert f._elimination[1].dtype == f._elimination[2].dtype == np.intp
+            assert f.left.shape == left.shape and f.right.shape == right.shape
+            assert np.array_equal(f.left.view(np.float64), left.view(np.float64))
+            assert np.array_equal(f.right.view(np.float64), right.view(np.float64))
+            assert f.left is f.left and f.right is f.right
+
+
+def test_solve_vector_right_hand_side():
+    a = matrix([[2, 1], [1, 3]])
+    b = np.array([1, 2], dtype=complex)
+    x = solve(a, b)
+    assert x.shape == (2,)
+    assert frobenius_norm((a @ x - b)[:, None]) <= 1e-14
+    assert np.array_equal(x, solve(a, b[:, None])[:, 0])
+
+
+def test_elimination_not_lapack_decides_singularity():
+    # LAPACK inverts diag(1, 1e-12) without complaint; the pivot threshold
+    # of the elimination refuses it, and every solve path keeps that verdict
+    a = diag(1, 1e-12)
+    assert np.all(np.isfinite(np.linalg.inv(a)))
+    with pytest.raises(SingularMatrixError):
+        solve(a, identity(2), 1e-10)
+    with pytest.raises(SingularMatrixError):
+        invert(a, 1e-10)
+    with pytest.raises(SingularMatrixError):
+        rank_factorize(a, 1e-10).inverse()
+    assert np.array_equal(invert(a, 1e-13), diag(1, 1e12))
+
+
+def test_factorization_inverse_does_not_alias_its_input():
+    a = matrix([[2, 1], [1, 3]])
+    f = rank_factorize(a)
+    want = invert(a)
+    a[0, 0] = 100.0
+    assert np.array_equal(f.inverse(), want)

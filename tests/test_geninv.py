@@ -163,6 +163,33 @@ def test_drazin_work_per_call(rng, monkeypatch):
         assert r.residuals is residuals and calls["verify_drazin_axioms"] == 1
 
 
+def test_drazin_builds_factors_only_at_singular_levels(rng, monkeypatch):
+    # the invertible level needs only the rank and the inverse: no left/right
+    import antitri.geninv as geninv
+
+    made = []
+    real = geninv.rank_factorize
+
+    def recorded(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(geninv, "rank_factorize", recorded)
+    for a in (identity(3), diag(2, 3), well_conditioned(rng, 5)):
+        made.clear()
+        assert drazin(a).index == 0
+        assert len(made) == 1 and "left" not in made[0].__dict__
+        assert "right" not in made[0].__dict__
+    cases = [zeros(3, 3), jordan_nilpotent(4), F45]
+    cases += [_instance_mix(rng, int(rng.integers(1, 9))) for _ in range(40)]
+    for a in cases:
+        made.clear()
+        r = drazin(a)
+        built = [("left" in f.__dict__, "right" in f.__dict__) for f in made]
+        nilpotent = made[-1].rank == 0  # a rank-0 level ends the recursion at A^D = 0
+        assert built == [(True, True)] * (r.index - nilpotent) + [(False, False)]
+
+
 def test_double_inverse_property(rng):
     for _ in range(60):
         n = int(rng.integers(1, 9))

@@ -79,6 +79,22 @@ def test_compare_fixture_and_corruption():
     assert not bad.axioms.overall
 
 
+def test_compare_judges_small_answers_on_their_own_scale():
+    # at E, F x 1e9 the group inverse has norm ~1e-9: an all-zero answer is
+    # wrong by 100 %, which a denominator clamped at 1 would read as 1e-9
+    from dataclasses import replace
+
+    ex = example_45()
+    for s in (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9):
+        pair = replace(ex, E=s * ex.E, F=s * ex.F)
+        res = thm41_group(pair.E, pair.F)
+        assert compare(res, pair).passed
+        zero = replace(res, Gamma=0 * res.Gamma, Delta=0 * res.Delta,
+                       Lambda=0 * res.Lambda, Xi=0 * res.Xi)
+        verdict = compare(zero, pair)
+        assert not verdict.passed and verdict.relative_error == 1.0
+
+
 def test_compare_pattern_mismatch():
     ex = example_45()
     res = thm41_group(ex.E, ex.F)
