@@ -137,7 +137,6 @@ def _result_json(result) -> dict:
                 "br": matrix_to_json(result.br),
             },
             "truncation": result.truncation,
-            "diagnostics": result.diagnostics,
         }
     if isinstance(result, GroupFormulaBlocks):
         return {

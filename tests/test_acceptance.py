@@ -141,7 +141,7 @@ def test_criterion_5_truncation_identity():
             attempt += 1
             continue
         attempt += 1
-        r25, _ = thm25(pair.E, pair.F)
+        r25 = thm25(pair.E, pair.F)
         r27 = thm27(pair.E, pair.F)
         worst = max(worst, rel_err(r27.assemble(), r25.assemble()))
         f_pi = spectral_idempotent(pair.F)

@@ -183,6 +183,13 @@ def test_cmd_block_lambda_flag(tmp_path, capsys):
     assert code == EXIT_NO_GROUP  # F has no group inverse
 
 
+def test_cmd_block_lam_refused_for_thm41(capsys):
+    code, rep = run_cli(
+        capsys, "block", "--fixture", "example45", "--theorem", "thm41", "--lam", "5"
+    )
+    assert code == EXIT_IO and rep is None
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "antitri.cli", "block", "--fixture", "example45",

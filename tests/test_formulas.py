@@ -28,6 +28,7 @@ from antitri import (
     lemma22_additive,
     lemma24_additive,
     matrix,
+    matrix_power,
     thm23,
     thm25,
     thm27,
@@ -37,6 +38,7 @@ from antitri import (
     zeros,
 )
 from antitri.core import block2x2
+from antitri.formulas import _q_series
 from conftest import assert_close, jordan_nilpotent, random_complex, rel_err, unimodular_pair
 
 E45 = matrix([[1, 2], [0, -1]])
@@ -66,6 +68,125 @@ def pairs_for(theorem_id, count, nmax=4, seed=0):
         except Exception:
             pass
         attempt += 1
+
+
+# ---------------------------------------------------------------------------
+# reference routes: the printed displays and the second routes that the
+# formulas do not compute; each is pinned against the returned blocks below
+
+
+def _drazin_data(e, f):
+    rf, re_ = drazin(f), drazin(e)
+    return rf.drazin, rf.idempotent, re_.drazin, re_.idempotent
+
+
+def cor32_display(e, f):
+    """Printed blocks of Corollary 3.2 (F E F^pi = 0, [[E, F], [I, 0]])."""
+    fs, fpi, ed, _ = _drazin_data(e, f)
+    edfpi = ed @ fpi
+    return block2x2(
+        fpi @ ed @ fpi,
+        identity(e.shape[0]) - fpi @ ed @ fpi @ e,
+        fs + edfpi @ edfpi - edfpi @ e @ fs,
+        edfpi - fs @ e - edfpi @ edfpi @ e + edfpi @ e @ fs @ e,
+    )
+
+
+def thm33_display(e, f):
+    """Printed blocks of Theorem 3.3 (F^pi E F = 0, [[E, F], [I, 0]])."""
+    fs, fpi, ed, _ = _drazin_data(e, f)
+    fpied = fpi @ ed
+    return block2x2(fpied, f @ fs, fs + fpied @ fpied - fs @ e @ fpied, -fs @ e @ f @ fs)
+
+
+def cor34_display(e, f):
+    """Printed blocks of Corollary 3.4 (F^pi E F = 0, [[E, I], [F, 0]])."""
+    fs, fpi, ed, _ = _drazin_data(e, f)
+    fpied = fpi @ ed
+    return block2x2(
+        fpi @ ed @ fpi,
+        fs + fpied @ fpied - fs @ e @ fpied,
+        identity(e.shape[0]) - e @ fpi @ ed @ fpi,
+        fpied - e @ fs - e @ fpied @ fpied + e @ fs @ e @ fpied,
+    )
+
+
+def thm41_constructive(e, f):
+    """Theorem 4.1 through the group inverse of N = [[E, I], [F^2, 0]]."""
+    fs, fpi, ed, epi = _drazin_data(e, f)
+    fs2 = fs @ fs
+    edfpi = ed @ fpi
+    epifpi = epi @ fpi
+    alpha = edfpi + epifpi @ e @ fs2
+    beta = fs2 + edfpi @ edfpi - epifpi @ e @ fs2 @ e @ fs2 - edfpi @ e @ fs2
+    gamma = f @ fs
+    delta = -f @ fs @ e @ fs2
+    return block2x2(
+        (e @ alpha + gamma) @ alpha + (e @ beta + delta) @ gamma,
+        (e @ alpha + gamma) @ beta @ f + (e @ beta + delta) @ delta @ f,
+        f @ (alpha @ alpha + beta @ gamma),
+        f @ (alpha @ beta + beta @ delta) @ f,
+    )
+
+
+def cor42_display(e, f, swapped=False):
+    """Printed blocks of Corollary 4.2; ``swapped`` interchanges the off-diagonal pair."""
+    fs, fpi, ed, epi = _drazin_data(e, f)
+    fs2 = fs @ fs
+    fpied = fpi @ ed
+    fpiepi = fpi @ epi
+    ident = identity(e.shape[0])
+    core = fpied + fs2 @ e @ fpiepi
+    delta_inner = fs - fs @ e @ fs2 @ e @ fpiepi - fs @ e @ fpied
+    gamma = core @ (ident - fpiepi) + fs2 @ e @ fpiepi
+    delta = delta_inner @ (ident - fpiepi) - fs @ e @ fs2 @ e @ fpiepi
+    lam = core @ core @ f + fs - (fs2 @ e) @ (fs2 @ e) @ fpiepi @ f - fs2 @ e @ fpied @ f
+    xi = delta_inner @ (fpied @ f + fs2 @ e @ fpiepi @ f) - fs @ e @ (
+        fs - fs2 @ e @ fs2 @ e @ fpiepi @ f - fs2 @ e @ fpied @ f
+    )
+    return block2x2(gamma, lam, delta, xi) if swapped else block2x2(gamma, delta, lam, xi)
+
+
+def thm25_statement(e, f):
+    """The printed n x n recipe of Theorem 2.5.
+
+    Returns the 2n x 2n result in both readings of its contested
+    idempotent term (I and I - F^pi), and the symbols: alpha, beta,
+    gamma, delta_d, and the corner blocks (eps, zeta, eta, theta) of the
+    successive powers of Q, by the corrected recursion.
+    """
+    rf = drazin(f)
+    fd, fpi, ind_f = rf.drazin, rf.idempotent, rf.index
+    n = e.shape[0]
+    ident = identity(n)
+    ffd = f @ fd
+    alpha = e @ fpi
+    if frobenius_norm(alpha) <= 1e-10 * max(1.0, frobenius_norm(e)) * max(1.0, frobenius_norm(f)):
+        alpha = zeros(n, n)
+    ra = drazin(alpha)
+    beta = fpi @ e @ ffd + fpi
+    gamma = f @ fpi
+    delta_d = fd + ffd - ffd @ e @ fd
+    eps, zeta, eta, theta = _q_series(alpha, beta, gamma, ra.drazin, ind_f)
+    corners = [(eps, zeta, eta, theta)]
+    for _ in range(ra.index + 2 * ind_f):
+        e_i, z_i, h_i, t_i = corners[-1]
+        corners.append((alpha @ e_i + beta @ h_i, alpha @ z_i + beta @ t_i, gamma @ e_i, gamma @ z_i))
+    az_bt = alpha @ zeta + beta @ theta
+
+    def reading(one):
+        guard = one - gamma @ zeta
+        tr = (zeta - az_bt) @ delta_d
+        br = (theta + guard) @ delta_d
+        dd_pow = delta_d @ delta_d
+        for e_i, z_i, h_i, t_i in corners[1:]:
+            tr = tr + (z_i @ guard - e_i @ az_bt) @ dd_pow
+            br = br + (t_i @ guard - h_i @ az_bt) @ dd_pow
+            dd_pow = dd_pow @ delta_d
+        return block2x2(eps, tr, eta, br)
+
+    symbols = {"alpha": alpha, "beta": beta, "gamma": gamma, "delta_d": delta_d, "corners": corners}
+    return reading(ident), reading(ident - fpi), symbols
 
 
 # ---------------------------------------------------------------------------
@@ -190,60 +311,58 @@ def test_thm23_hypothesis_gate(rng):
 
 
 def test_thm25_involution_fixture():
-    res, inter = thm25(zeros(2, 2), identity(2))
+    res = thm25(zeros(2, 2), identity(2))
     m = anti_triangular(zeros(2, 2), identity(2))
     assert_close(res.assemble(), m, 1e-12)  # M^2 = I so M^d = M
 
 
 def test_thm25_f_zero(rng):
     e = random_complex(rng, 3)
-    res, inter = thm25(e, zeros(3, 3))
+    res = thm25(e, zeros(3, 3))
     ed = drazin(e).drazin
     expected = np.block([[ed, ed @ ed], [zeros(3, 3), zeros(3, 3)]])
     assert_close(res.assemble(), expected, 1e-9)
-    assert frobenius_norm(inter.delta_d) <= 1e-12
-    assert frobenius_norm(inter.gamma) <= 1e-12
+    *_, symbols = thm25_statement(e, zeros(3, 3))
+    assert frobenius_norm(symbols["delta_d"]) <= 1e-12
+    assert frobenius_norm(symbols["gamma"]) <= 1e-12
 
 
 def test_thm25_generated_vs_oracle():
     for pair in pairs_for("thm25", 40, seed=7):
-        res, _ = thm25(pair.E, pair.F)
+        res = thm25(pair.E, pair.F)
         assert rel_err(res.assemble(), oracle_drazin(assemble(pair))) <= 1e-9
 
 
-def test_thm25_intermediates_recursion():
-    # corner recursion of Q^n: eps' = a.eps + b.eta, zeta' = a.zeta + b.theta,
-    # eta' = c.eps, theta' = c.zeta (the printed theta' = c.theta collapses
-    # the whole tail to zero and contradicts Q^(n+1) = Q Q^n)
+def test_thm25_corner_recursion_and_theta_misprint():
+    # corner recursion of Q^n Q_0 for Q = [[alpha, beta], [gamma, 0]]:
+    # eps' = a.eps + b.eta, zeta' = a.zeta + b.theta, eta' = c.eps,
+    # theta' = c.zeta; the printed theta' = c.theta contradicts
+    # Q^(n+1) = Q Q^n (README, Errata)
+    misprints = 0
     for pair in pairs_for("thm25", 12, seed=123):
-        _, it = thm25(pair.E, pair.F)
-        a, b, c = it.alpha, it.beta, it.gamma
-        for i in range(len(it.eps_seq) - 1):
-            assert_close(it.eps_seq[i + 1], a @ it.eps_seq[i] + b @ it.eta_seq[i], 1e-10)
-            assert_close(it.zeta_seq[i + 1], a @ it.zeta_seq[i] + b @ it.theta_seq[i], 1e-10)
-            assert_close(it.eta_seq[i + 1], c @ it.eps_seq[i], 1e-10)
-            assert_close(it.theta_seq[i + 1], c @ it.zeta_seq[i], 1e-10)
-
-
-def test_thm25_pierce_idempotent():
-    for pair in pairs_for("thm25", 8, seed=31):
-        _, it = thm25(pair.E, pair.F)
-        p = it.pierce_p
-        assert frobenius_norm(p @ p - p) <= 1e-10 * max(1.0, frobenius_norm(p))
+        *_, it = thm25_statement(pair.E, pair.F)
+        a, b, c, corners = it["alpha"], it["beta"], it["gamma"], it["corners"]
+        q = block2x2(a, b, c, zeros(*a.shape))
+        q0 = block2x2(*corners[0])
+        for i in range(1, len(corners)):
+            assert_close(block2x2(*corners[i]), matrix_power(q, i) @ q0, 1e-10)
+            misprints += rel_err(c @ corners[i - 1][3], corners[i][3]) > 1e-8
+    assert misprints
 
 
 def test_thm25_statement_readings_recorded():
     # the two printed readings of the contested idempotent term agree with
     # each other (F^pi annihilates delta^d) but not with the oracle-backed
-    # constructive route: the discrepancy must be flagged, never silent
+    # constructive route that thm25 returns (README, Errata)
     seen_erratum = False
     for pair in pairs_for("thm25", 20, seed=77):
-        res, _ = thm25(pair.E, pair.F)
-        d = res.diagnostics
-        assert d["statement_readings_dev"] <= 1e-8
-        if "erratum" in d:
+        md = thm25(pair.E, pair.F).assemble()
+        plain, split, _ = thm25_statement(pair.E, pair.F)
+        assert rel_err(plain, split) <= 1e-8
+        plain_dev, split_dev = rel_err(plain, md), rel_err(split, md)
+        if max(plain_dev, split_dev) > 1e-8:
             seen_erratum = True
-            assert d["statement_plain_dev"] > 1e-8
+            assert plain_dev > 1e-8
     assert seen_erratum
 
 
@@ -257,7 +376,7 @@ def test_thm25_hypothesis_gate(rng):
 
 def test_thm27_equals_thm25():
     for pair in pairs_for("thm25", 25, seed=5):
-        r25, _ = thm25(pair.E, pair.F)
+        r25 = thm25(pair.E, pair.F)
         r27 = thm27(pair.E, pair.F)
         assert rel_err(r27.assemble(), r25.assemble()) <= 1e-12
         assert r27.truncation == r25.truncation
@@ -347,8 +466,8 @@ def test_cor32_fixture_and_similarity():
         out = cor32_group(pair.E, pair.F)
         assert not isinstance(out, NoGroupInverse)
         assert compare(out, pair).passed
-        # display route and similarity route agree
-        assert out.diagnostics["route_dev"] <= 1e-10
+        # printed display and the similarity route agree
+        assert rel_err(cor32_display(pair.E, pair.F), out.assemble()) <= 1e-10
 
 
 def test_thm33_transpose_duality():
@@ -367,7 +486,7 @@ def test_thm33_generated_vs_oracle():
         out = thm33_group(pair.E, pair.F)
         assert not isinstance(out, NoGroupInverse)
         assert compare(out, pair).passed
-        assert out.diagnostics["route_dev"] <= 1e-10
+        assert rel_err(thm33_display(pair.E, pair.F), out.assemble()) <= 1e-10
 
 
 def test_cor34_similarity_and_oracle():
@@ -377,7 +496,7 @@ def test_cor34_similarity_and_oracle():
         out = cor34_group(pair.E, pair.F)
         assert not isinstance(out, NoGroupInverse)
         assert compare(out, pair).passed
-        assert out.diagnostics["route_dev"] <= 1e-10
+        assert rel_err(cor34_display(pair.E, pair.F), out.assemble()) <= 1e-10
 
 
 def test_cor35_commuting_diagonal():
@@ -446,7 +565,8 @@ def test_thm41_generated_vs_oracle():
         out = thm41_group(pair.E, pair.F)
         assert not isinstance(out, NoGroupInverse)
         assert compare(out, pair).passed
-        assert out.diagnostics["route_dev"] <= 1e-10
+        # printed blocks and the route through [[E, I], [F^2, 0]] agree
+        assert rel_err(out.assemble(), thm41_constructive(pair.E, pair.F)) <= 1e-10
 
 
 def test_thm41_existence_violation():
@@ -485,14 +605,14 @@ def test_cor42_fixture_and_oracle():
 
 def test_cor42_display_block_swap_documented():
     # the printed display puts the transposed off-diagonal formulas in the
-    # wrong slots; the implementation must flag this, never silently differ
+    # wrong slots (README, Errata); the returned transpose dual is the
+    # swap-corrected display
     seen = False
     for pair in pairs_for("cor42", 25, seed=53):
         out = cor42_group(pair.E, pair.F)
-        assert out.diagnostics["display_swapped_dev"] <= 1e-10
-        if out.diagnostics["route_dev"] > 1e-10:
+        assert rel_err(cor42_display(pair.E, pair.F, swapped=True), out.assemble()) <= 1e-10
+        if rel_err(cor42_display(pair.E, pair.F), out.assemble()) > 1e-10:
             seen = True
-            assert "erratum" in out.diagnostics
             assert compare(out, pair).passed  # returned blocks stay oracle-true
     assert seen
 
@@ -660,3 +780,45 @@ def test_transposed_drazin_data_residuals_are_of_the_transpose():
             rep = verify_drazin_axioms(a, r.drazin, r.index)
             assert r.residuals == tuple(e.residual for e in rep.entries)
             assert rep.overall
+
+
+def test_one_route_per_call():
+    # a formula returns its one route; no second opinion rides along in
+    # diagnostics (only cor43/cor44 record which hypothesis family held)
+    from antitri import THEOREM_IDS, apply_formula
+
+    for tid in THEOREM_IDS:
+        pair = generate(GeneratorRecipe(tid, 3, 0))
+        out = apply_formula(tid, pair.E, pair.F)
+        assert not isinstance(out, NoGroupInverse), tid
+        assert set(getattr(out, "diagnostics", {})) <= {"hypothesis_family"}, tid
+
+
+def test_public_names_resolve():
+    import antitri
+
+    for name in antitri.__all__:
+        assert hasattr(antitri, name), name
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("block", ["E", "F"])
+def test_non_finite_input_is_rejected(bad, block):
+    # a NaN or Inf residual never exceeds a threshold, so without this
+    # check every gate would pass non-finite input through
+    from antitri import THEOREM_IDS, apply_formula
+
+    for tid in THEOREM_IDS:
+        pair = generate(GeneratorRecipe(tid, 3, 0))
+        e, f = pair.E.copy(), pair.F.copy()
+        (e if block == "E" else f)[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            apply_formula(tid, e, f)
+
+
+def test_lam_is_refused_without_commutation_clause():
+    from antitri import apply_formula
+
+    with pytest.raises(ValueError, match="lam"):
+        apply_formula("thm41", E45, F45, lam=5)
+    assert not isinstance(apply_formula("cor44", E45, F45, lam=5), NoGroupInverse)
