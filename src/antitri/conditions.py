@@ -26,8 +26,8 @@ from functools import partial
 import numpy as np
 
 from .core import DEFAULT_TOL, block2x2, identity, matrix, zeros
-from .formulas import _LEMMA_CLAUSES, REGISTRY, BlockPair, Pattern, _DrazinData, dual_clause
-from .reports import ConditionEntry, ConditionReport
+from .formulas import REGISTRY, BlockPair, Pattern, _DrazinData, _judge, dual_clause
+from .reports import ConditionReport
 
 
 class InfeasibleRecipeError(ValueError):
@@ -45,32 +45,19 @@ def check_conditions(
     tol: float = DEFAULT_TOL,
     lam: complex | None = None,
 ) -> ConditionReport:
-    """One residual entry per clause of the named formula.
+    """One entry per clause of the named formula, in the order its gate judges them.
 
-    Residual = Frobenius norm of the clause's left-hand side; threshold
-    = tol * max(1, |E|_F) * max(1, |F|_F), or tol * max(1, |E^pi|_F) *
-    max(1, |F^pi|_F) for the idempotent-only EpiFpi/FpiEpi, as in the
-    formulas' own existence gates.  FFpi/EEpi encode group
-    invertibility (X group invertible iff X X^pi = 0).  A supplied lam
-    adds the EF - lam FE alternative to the commutation clause; the
-    either-or clauses take the smaller residual.  The clauses and their
-    expressions are those the formulas' own gates evaluate.
+    Each entry is the verdict of the clause judge the formula's own gate
+    reads, so the two never disagree.  Residual = Frobenius norm of the
+    clause's left-hand side; threshold = tol * max(1, |E|_F) * max(1, |F|_F),
+    or tol * max(1, |E^pi|_F) * max(1, |F^pi|_F) for the idempotent-only
+    EpiFpi/FpiEpi.  FFpi/EEpi (X X^pi = 0) pass iff ind <= 1.  A supplied
+    lam makes the commutation clause the either-or "EF-lFE|EF2-FEF"; an
+    either-or clause reports the smaller residual.
     """
-    names = _LEMMA_CLAUSES.get(theorem_id) or REGISTRY[theorem_id].clauses
-    d = _DrazinData(e, f, tol)
-    entries = []
-    for name in names:
-        threshold = d.clause_threshold(name)
-        if name == "EF2-FEF" and lam is not None:
-            name, residual = "EF-lFE|EF2-FEF", min(d.commutation(lam).values())
-        else:
-            residual = d.residual(name)
-        entries.append(
-            ConditionEntry(
-                name=name, residual=residual, threshold=threshold, passed=residual <= threshold
-            )
-        )
-    return ConditionReport.build(entries)
+    names = REGISTRY[theorem_id].clauses
+    d = _DrazinData(e, f, tol, lam)
+    return ConditionReport.build(_judge(d, name) for name in names)
 
 
 @dataclass(frozen=True)

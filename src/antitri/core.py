@@ -14,6 +14,7 @@ LAPACK LU, run once it has certified full rank.  No eigen/SVD anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -39,9 +40,14 @@ def matrix(data) -> np.ndarray:
     a = np.array(data, dtype=np.complex128)
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    require_finite(a)
     return a
+
+
+def require_finite(*arrays: np.ndarray) -> None:
+    """Raise ValueError when any entry of the arrays is NaN or Inf."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
 
 
 def zeros(rows: int, cols: int | None = None) -> np.ndarray:
@@ -59,7 +65,7 @@ def diag(*entries) -> np.ndarray:
 def frobenius_norm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
-    return float(np.sqrt(np.sum(np.abs(a) ** 2)))
+    return math.sqrt((np.abs(a) ** 2).sum())
 
 
 def matrix_power(a: np.ndarray, k: int) -> np.ndarray:
@@ -184,11 +190,11 @@ def rank_factorize(
 ) -> RankFactorization:
     """Full-rank factorization a ~ left @ right via pivoted elimination.
 
-    tol must be positive; rank 0 (within tolerance of the zero matrix)
-    returns empty factors and the reconstruction contract is a ~ 0.
+    tol must be positive and finite; rank 0 (within tolerance of the zero
+    matrix) returns empty factors and the reconstruction contract is a ~ 0.
     """
-    if tol <= 0:
-        raise ValueError("rank_factorize requires tol > 0")
+    if not 0 < tol < math.inf:  # also false for NaN
+        raise ValueError("rank_factorize requires a finite tol > 0")
     lu, prow, pcol, r = _eliminate(a, tol, floor)
     copy = np.array(a, dtype=np.complex128, copy=True)
     return RankFactorization(rank=r, tolerance_used=tol, _elimination=(lu, prow, pcol), _matrix=copy)

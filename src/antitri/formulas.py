@@ -35,10 +35,13 @@ and loops are capped, terms are never tested for smallness.
 One call builds one ``_DrazinData`` for its (E, F): ``drazin(E)`` and
 ``drazin(F)`` run at most once each, on first use, and the composite
 formulas hand that holder to their base formula.  Transpose duals read
-the same data through (A^T)^D = (A^D)^T.  Each hypothesis clause is one
-expression in ``_CLAUSES``, read by the formula gates and by
-``check_conditions`` alike, and each formula id is one row of
-``REGISTRY``.
+the same data through (A^T)^D = (A^D)^T.  Each clause is one expression
+in ``_CLAUSES``, and each formula id is one row of ``REGISTRY`` listing
+the clauses that refuse the pair (HypothesisError) and those that
+answer NoGroupInverse.  One judge, ``_judge``, decides every clause and
+keeps its verdict on the holder; one gate, ``_gate``, walks a row.
+Every formula gates its own row before it computes, composites before
+handing over, and ``check_conditions`` reports the same verdicts.
 """
 
 from __future__ import annotations
@@ -58,10 +61,12 @@ from .core import (
     frobenius_norm,
     identity,
     matrix_power,
+    require_finite,
     split2x2,
     zeros,
 )
 from .geninv import DrazinResult, drazin
+from .reports import ConditionEntry
 
 
 class Pattern(enum.Enum):
@@ -77,11 +82,12 @@ class InverseKind(enum.Enum):
 
 
 class HypothesisError(ArithmeticError):
-    """A formula's algebraic hypothesis fails beyond tolerance."""
+    """A formula's hypothesis clause ``clause`` fails; ``residuals`` holds those judged so far."""
 
-    def __init__(self, message: str, residuals: dict[str, float]):
+    def __init__(self, message: str, residuals: dict[str, float], clause: str):
         super().__init__(message)
         self.residuals = residuals
+        self.clause = clause
 
 
 @dataclass(frozen=True)
@@ -96,8 +102,7 @@ class BlockPair:
         e, f = self.E, self.F
         if e.shape != f.shape or e.shape[0] != e.shape[1]:
             raise ShapeError(f"E and F must be square of equal size, got {e.shape} and {f.shape}")
-        if e.size and not (np.all(np.isfinite(e)) and np.all(np.isfinite(f))):
-            raise ValueError("matrix entries must be finite (no NaN/Inf)")
+        require_finite(e, f)
 
 
 @dataclass(frozen=True)
@@ -158,27 +163,25 @@ class _DrazinData:
 
     ``E`` and ``F`` are the :class:`DrazinResult` of the two blocks
     (for the additive lemmas, of P and Q), computed on first use, so a
-    gate that refuses pays only for the data it read.  ``T`` is the
+    gate that refuses pays only for the data it read.  ``lam`` is the
+    scalar of the EF = lam FE alternative, or None.  ``T`` is the
     holder of the transposed pair; it calls no ``drazin`` of its own but
-    transposes this one's results, at the same index.
+    transposes this one's results, at the same index.  ``verdicts``
+    keeps each clause :func:`_judge` decided on the pair (a transposed
+    holder keeps none: its clauses are their duals, judged here).
     """
 
     def __init__(
-        self, e: np.ndarray, f: np.ndarray, tol: float, transpose_of: _DrazinData | None = None
+        self, e: np.ndarray, f: np.ndarray, tol: float, lam: complex | None = None, transpose_of=None
     ):
         BlockPair(e, f)  # shape check
-        self.e, self.f, self.tol = e, f, tol
+        self.e, self.f, self.tol, self.lam = e, f, tol, lam
         self._transpose_of = transpose_of
+        self.verdicts: dict[str, ConditionEntry] = {}
 
     @cached_property
-    def threshold(self) -> float:
-        return self.tol * _hyp_scale(self.e, self.f)
-
-    def clause_threshold(self, clause: str) -> float:
-        """Threshold of one clause: ``threshold``, but scale-free for the idempotent-only ones."""
-        if clause in _IDEMPOTENT_CLAUSES:
-            return self.tol * _hyp_scale(self.E.idempotent, self.F.idempotent)
-        return self.threshold
+    def scale(self) -> float:
+        return _hyp_scale(self.e, self.f)
 
     @cached_property
     def E(self) -> DrazinResult:
@@ -198,17 +201,6 @@ class _DrazinData:
             return self._transpose_of
         return _DrazinData(self.e.T.copy(), self.f.T.copy(), self.tol, transpose_of=self)
 
-    def residual(self, clause: str) -> float:
-        """Frobenius norm of the clause's left-hand side; "A|B" takes the smaller."""
-        return min(frobenius_norm(_CLAUSES[name](self)) for name in clause.split("|"))
-
-    def commutation(self, lam: complex | None) -> dict[str, float]:
-        """Residuals of EF^2 = FEF and, when lam is supplied, of EF = lam FE."""
-        residuals = {"EF2-FEF": self.residual("EF2-FEF")}
-        if lam is not None:
-            residuals["EF-lam.FE"] = frobenius_norm(self.e @ self.f - lam * (self.f @ self.e))
-        return residuals
-
 
 def _transposed(r: DrazinResult) -> DrazinResult:
     return replace(r, drazin=r.drazin.T, idempotent=r.idempotent.T, source=r.source.T)
@@ -216,6 +208,7 @@ def _transposed(r: DrazinResult) -> DrazinResult:
 
 # Left-hand side of each hypothesis and existence clause.  FFpi and EEpi
 # encode group invertibility: X is group invertible iff X X^pi = 0.
+# EFpi is no hypothesis: the thm25 engine treats a sub-threshold E F^pi as 0.
 _CLAUSES: dict[str, Callable[[_DrazinData], np.ndarray]] = {
     "PQ": lambda d: d.e @ d.f,
     "PQP": lambda d: d.e @ d.f @ d.e,
@@ -231,17 +224,19 @@ _CLAUSES: dict[str, Callable[[_DrazinData], np.ndarray]] = {
     "FFpi": lambda d: d.f @ d.F.idempotent,
     "EEpi": lambda d: d.e @ d.E.idempotent,
     "EF2-FEF": lambda d: d.e @ d.f @ d.f - d.f @ d.e @ d.f,
+    "EF-lFE": lambda d: d.e @ d.f - d.lam * (d.f @ d.e),
+    "EFpi": lambda d: d.e @ d.F.idempotent,
 }
 _CLAUSES.update(EFE=_CLAUSES["PQP"], F2E=_CLAUSES["Q2P"])
 # Products of spectral idempotents alone do not grow with E and F, so these
 # are judged against tol * max(1, |E^pi|) * max(1, |F^pi|).
 _IDEMPOTENT_CLAUSES = frozenset({"EpiFpi", "FpiEpi"})
+# Group invertibility is decided by the index the Drazin recursion found.
+_GROUP_CLAUSES = {"FFpi": lambda d: d.F.index <= 1, "EEpi": lambda d: d.E.index <= 1}
 
 # A clause on (E^T, F^T) is the transpose of its dual on (E, F).
 _DUAL = {"FEFpi": "FpiEF", "EpiFpi": "FpiEpi", "EEpiFpi": "FpiEpiE"}
 _DUAL.update({v: k for k, v in _DUAL.items()})
-
-_LEMMA_CLAUSES = {"lemma22": ("PQP", "Q2P"), "lemma24": ("PQ",)}
 
 
 def dual_clause(name: str | None) -> str | None:
@@ -249,32 +244,72 @@ def dual_clause(name: str | None) -> str | None:
     return _DUAL.get(name, name)
 
 
-def _check_hypotheses(d: _DrazinData, clauses: tuple[str, ...], what: str) -> None:
-    residuals = {name: d.residual(name) for name in clauses}
-    bad = {k: v for k, v in residuals.items() if v > d.threshold}
-    if bad:
-        detail = ", ".join(f"|{k}| = {v:.3e}" for k, v in bad.items())
-        raise HypothesisError(
-            f"{what}: hypothesis residual exceeds threshold {d.threshold:.3e} ({detail})",
-            residuals,
-        )
+def _judge(d: _DrazinData, name: str) -> ConditionEntry:
+    """The verdict on one clause of the pair, decided once and kept in ``d.verdicts``.
+
+    This is the one place a residual meets a threshold.  The residual is
+    the Frobenius norm of the clause's left-hand side; the threshold is
+    tol * max(1, |E|_F) * max(1, |F|_F), or tol * max(1, |E^pi|_F) *
+    max(1, |F^pi|_F) for the idempotent-only EpiFpi/FpiEpi.  FFpi and
+    EEpi pass iff ind <= 1.  "A|B" passes when either clause does and
+    reports the smaller residual.  With ``d.lam`` set, EF2-FEF becomes
+    the either-or "EF-lFE|EF2-FEF".  On a transposed holder a clause is
+    its dual on the original pair, judged there under the dual's name.
+    """
+    if d._transpose_of is not None:
+        return _judge(d._transpose_of, dual_clause(name))
+    if name == "EF2-FEF" and d.lam is not None:
+        name = "EF-lFE|EF2-FEF"
+    if name in d.verdicts:
+        return d.verdicts[name]
+    parts = name.split("|")
+    for part in parts:
+        if part in d.verdicts:
+            continue
+        residual = frobenius_norm(_CLAUSES[part](d))
+        scale = _hyp_scale(d.E.idempotent, d.F.idempotent) if part in _IDEMPOTENT_CLAUSES else d.scale
+        threshold = d.tol * scale
+        passed = _GROUP_CLAUSES[part](d) if part in _GROUP_CLAUSES else residual <= threshold
+        d.verdicts[part] = ConditionEntry(part, residual, threshold, passed)
+    if len(parts) > 1:
+        best = min((d.verdicts[part] for part in parts), key=lambda v: v.residual)
+        passed = any(d.verdicts[part].passed for part in parts)
+        d.verdicts[name] = ConditionEntry(name, best.residual, best.threshold, passed)
+    return d.verdicts[name]
 
 
-def _transpose_dual(body, d: _DrazinData, what: str, pattern: Pattern):
+def _gate(d: _DrazinData, theorem_id: str) -> NoGroupInverse | None:
+    """Judge the row of ``theorem_id`` in order; None when every clause holds.
+
+    The first failing hypothesis clause raises HypothesisError, carrying
+    the residuals judged so far; failing existence clauses are answered
+    together as one NoGroupInverse.
+    """
+    row = _LEMMAS.get(theorem_id) or REGISTRY[theorem_id]
+    residuals: dict[str, float] = {}
+    failed = []
+    for name in row.clauses:
+        entry = _judge(d, name)
+        residuals[entry.name] = entry.residual
+        if entry.passed:
+            continue
+        if name in row.hypotheses:
+            raise HypothesisError(
+                f"{theorem_id}: hypothesis {entry.name} fails (residual {entry.residual:.3e}, "
+                f"threshold {entry.threshold:.3e})",
+                residuals,
+                entry.name,
+            )
+        failed.append(entry.name)
+    return NoGroupInverse(failed=tuple(failed), residuals=residuals) if failed else None
+
+
+def _transpose_dual(body, d: _DrazinData, pattern: Pattern) -> GroupFormulaBlocks:
     """The transpose of body's result on the transposed pair, as blocks of pattern.
 
-    Refusals are renamed to the dual clauses.
+    The caller gates its own row first: on ``d.T`` body's gate reads the same verdicts.
     """
-    try:
-        out = body(d.T)
-    except HypothesisError as err:
-        residuals = {dual_clause(k): v for k, v in err.residuals.items()}
-        raise HypothesisError(f"{what}: {err}", residuals) from None
-    if isinstance(out, NoGroupInverse):
-        return NoGroupInverse(
-            failed=tuple(dual_clause(name) for name in out.failed),
-            residuals={dual_clause(k): v for k, v in out.residuals.items()},
-        )
+    out = body(d.T)
     return GroupFormulaBlocks(
         Gamma=out.Gamma.T, Delta=out.Lambda.T, Lambda=out.Delta.T, Xi=out.Xi.T, pattern=pattern
     )
@@ -327,7 +362,7 @@ def lemma22_additive(p: np.ndarray, q: np.ndarray, tol: float = DEFAULT_TOL) -> 
     if p.shape != q.shape or p.shape[0] != p.shape[1]:
         raise ShapeError("lemma22_additive requires equal square shapes")
     d = _DrazinData(p, q, tol)
-    _check_hypotheses(d, _LEMMA_CLAUSES["lemma22"], "additive split (PQP = Q^2 P = 0)")
+    _gate(d, "lemma22")
     rp, rq = d.E, d.F
     pd, ppi = rp.drazin, rp.idempotent
     qd, qpi = rq.drazin, rq.idempotent
@@ -347,7 +382,7 @@ def lemma24_additive(p: np.ndarray, q: np.ndarray, tol: float = DEFAULT_TOL) -> 
     if p.shape != q.shape or p.shape[0] != p.shape[1]:
         raise ShapeError("lemma24_additive requires equal square shapes")
     d = _DrazinData(p, q, tol)
-    _check_hypotheses(d, _LEMMA_CLAUSES["lemma24"], "additive split (PQ = 0)")
+    _gate(d, "lemma24")
     rp, rq = d.E, d.F
     out = zeros(p.shape[0], p.shape[0])
     for i in range(rq.index):
@@ -372,7 +407,7 @@ def cline(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 def thm23(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult:
     """g-Drazin inverse of [[E, I], [F, 0]] under EFE = 0 and F^2 E = 0."""
     d = _DrazinData(e, f, tol)
-    _check_hypotheses(d, ("EFE", "F2E"), "anti-triangular split (EFE = F^2 E = 0)")
+    _gate(d, "thm23")
     re_, rf = d.E, d.F
     ed, epi, ind_e = re_.drazin, re_.idempotent, re_.index
     fd, fpi, ind_f = rf.drazin, rf.idempotent, rf.index
@@ -443,8 +478,8 @@ def _q_series(alpha, beta, gamma, alpha_d, m_cap: int):
     return eps, zeta, eta, theta
 
 
-def _anti_triangular(d: _DrazinData, kind: InverseKind = InverseKind.G_DRAZIN) -> BlockResult:
-    """Shared engine for the E F E F^pi = F^2 E F^pi = 0 representation.
+def _anti_triangular(d: _DrazinData, theorem_id: str) -> BlockResult:
+    """Shared engine of thm25, cor26 and thm27: E F E F^pi = F^2 E F^pi = 0.
 
     Computes the inverse along the constructive route: split M = P + Q
     by the idempotent p = diag(F^pi, 0), with P the group-invertible
@@ -455,15 +490,13 @@ def _anti_triangular(d: _DrazinData, kind: InverseKind = InverseKind.G_DRAZIN) -
     """
     e, f = d.e, d.f
     n = e.shape[0]
+    _gate(d, theorem_id)
     rf = d.F
     fd, fpi, ind_f = rf.drazin, rf.idempotent, rf.index
-    _check_hypotheses(
-        d, ("EFEFpi", "F2EFpi"), "anti-triangular split (EFEF^pi = F^2 E F^pi = 0)"
-    )
     ffd = f @ fd
 
     alpha = e @ fpi
-    if frobenius_norm(alpha) <= d.threshold:
+    if _judge(d, "EFpi").passed:
         alpha = zeros(n, n)  # sub-threshold residue is an exact zero in the algebra
     ra = drazin(alpha, d.tol)
 
@@ -499,7 +532,7 @@ def _anti_triangular(d: _DrazinData, kind: InverseKind = InverseKind.G_DRAZIN) -
         tr=tr,
         bl=bl,
         br=br,
-        kind=kind,
+        kind=REGISTRY[theorem_id].kind,
         pattern=Pattern.EI_F0,
         truncation={"k": k_cap, "m": m_cap},
     )
@@ -507,7 +540,7 @@ def _anti_triangular(d: _DrazinData, kind: InverseKind = InverseKind.G_DRAZIN) -
 
 def thm25(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult:
     """g-Drazin inverse of [[E, I], [F, 0]] under EFEF^pi = F^2 E F^pi = 0."""
-    return _anti_triangular(_DrazinData(e, f, tol))
+    return _anti_triangular(_DrazinData(e, f, tol), "thm25")
 
 
 def thm27(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult:
@@ -516,7 +549,7 @@ def thm27(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult
     Identical algebra to :func:`thm25`; the caps k = ind(E F^pi) + 2 ind(F)
     and m = ind(F) are reported in ``truncation``.
     """
-    return _anti_triangular(_DrazinData(e, f, tol), InverseKind.DRAZIN)
+    return _anti_triangular(_DrazinData(e, f, tol), "thm27")
 
 
 def cor26(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult:
@@ -524,7 +557,7 @@ def cor26(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult
 
     [[E,F],[I,0]]^d = [[E,I],[I,0]] ([[E,I],[F,0]]^d)^2 [[I,0],[0,F]].
     """
-    base = _anti_triangular(_DrazinData(e, f, tol))
+    base = _anti_triangular(_DrazinData(e, f, tol), "cor26")
     n = e.shape[0]
     nd = base.assemble()
     left = block2x2(e, identity(n), identity(n), zeros(n, n))
@@ -559,22 +592,11 @@ def thm31_group(
 
 
 def _thm31(d: _DrazinData) -> GroupFormulaBlocks | NoGroupInverse:
+    if no_group := _gate(d, "thm31"):
+        return no_group
     e, f = d.e, d.f
-    _check_hypotheses(d, ("FEFpi",), "group split (FEF^pi = 0)")
-    rf, re_ = d.F, d.E
-    fd, fpi = rf.drazin, rf.idempotent
-    ed = re_.drazin
-    failed = []
-    residuals = {"EpiFpi": d.residual("EpiFpi")}
-    if rf.index > 1:
-        failed.append("group_inverse(F)")
-        residuals["ind(F)"] = float(rf.index)
-    if residuals["EpiFpi"] > d.clause_threshold("EpiFpi"):
-        failed.append("EpiFpi")
-    if failed:
-        return NoGroupInverse(failed=tuple(failed), residuals=residuals)
-    fs = fd  # index <= 1: Drazin inverse is the group inverse
-    edfpi = ed @ fpi
+    fs, fpi = d.F.drazin, d.F.idempotent  # index <= 1: Drazin inverse is the group inverse
+    edfpi = d.E.drazin @ fpi
     gamma = edfpi
     delta = fs + edfpi @ edfpi - edfpi @ e @ fs
     lam = f @ fs
@@ -593,7 +615,8 @@ def cor32_group(
     result pushed through the similarity P = [[0, I], [I, -E]]:
     P^-1 [[E, I], [F, 0]]^# P.
     """
-    base = _thm31(_DrazinData(e, f, tol))
+    d = _DrazinData(e, f, tol)
+    base = _gate(d, "cor32") or _thm31(d)
     if isinstance(base, NoGroupInverse):
         return base
     n = e.shape[0]
@@ -613,7 +636,7 @@ def thm33_group(
 
 
 def _thm33(d: _DrazinData) -> GroupFormulaBlocks | NoGroupInverse:
-    return _transpose_dual(_thm31, d, "group split (F^pi E F = 0)", Pattern.EF_I0)
+    return _gate(d, "thm33") or _transpose_dual(_thm31, d, Pattern.EF_I0)
 
 
 def cor34_group(
@@ -624,7 +647,8 @@ def cor34_group(
     Existence as in :func:`thm33_group`; the :func:`thm33_group` result
     pushed through the similarity P = [[E, I], [I, 0]]: P^-1 [[E, F], [I, 0]]^# P.
     """
-    base = _thm33(_DrazinData(e, f, tol))
+    d = _DrazinData(e, f, tol)
+    base = _gate(d, "cor34") or _thm33(d)
     if isinstance(base, NoGroupInverse):
         return base
     n = e.shape[0]
@@ -632,32 +656,17 @@ def cor34_group(
     return _conjugate(base, block2x2(z, ident, ident, -e), block2x2(e, ident, ident, z), Pattern.EI_F0)
 
 
-def _commutation_gate(d: _DrazinData, lam: complex | None, what: str) -> None:
-    """Require EF = lam FE (when lam is supplied) or EF^2 = FEF."""
-    residuals = d.commutation(lam)
-    if min(residuals.values()) > d.threshold:
-        detail = ", ".join(f"|{k}| = {v:.3e}" for k, v in residuals.items())
-        raise HypothesisError(f"{what}: no commutation hypothesis holds ({detail})", residuals)
-
-
 def cor35_group(
     e: np.ndarray, f: np.ndarray, lam: complex | None = None, tol: float = DEFAULT_TOL
 ) -> GroupFormulaBlocks | NoGroupInverse:
     """Group inverse of [[E, F], [I, 0]] under EF = lam FE or EF^2 = FEF.
 
-    Either commutation hypothesis reduces to F^pi E F = 0 whenever F is
-    group invertible, so the computation delegates to :func:`thm33_group`.
+    Exists iff F has a group inverse and F^pi E^pi = 0.  Either
+    commutation hypothesis reduces to F^pi E F = 0 whenever F is group
+    invertible, so the computation delegates to :func:`thm33_group`.
     """
-    d = _DrazinData(e, f, tol)
-    _commutation_gate(d, lam, "commutation split")
-    reduction = d.residual("FpiEF")
-    if reduction > d.threshold:
-        # reduction fails only when F itself has no group inverse
-        return NoGroupInverse(
-            failed=("group_inverse(F)",),
-            residuals={"FpiEF": reduction, "ind(F)": float(d.F.index)},
-        )
-    return _thm33(d)
+    d = _DrazinData(e, f, tol, lam)
+    return _gate(d, "cor35") or _thm33(d)
 
 
 def thm41_group(
@@ -673,22 +682,12 @@ def thm41_group(
 
 
 def _thm41(d: _DrazinData) -> GroupFormulaBlocks | NoGroupInverse:
+    if no_group := _gate(d, "thm41"):
+        return no_group
     e, f = d.e, d.f
     n = e.shape[0]
-    rf = d.F
-    if rf.index > 1:
-        raise HypothesisError(
-            f"identical-subblock split requires a group invertible F (ind(F) = {rf.index})",
-            {"ind(F)": float(rf.index)},
-        )
-    fs, fpi = rf.drazin, rf.idempotent
-    _check_hypotheses(d, ("FEFpi",), "identical-subblock split (FEF^pi = 0)")
-    re_ = d.E
-    ed, epi = re_.drazin, re_.idempotent
-    resid = d.residual("EEpiFpi")
-    if resid > d.threshold:
-        return NoGroupInverse(failed=("EEpiFpi",), residuals={"EEpiFpi": resid})
-
+    fs, fpi = d.F.drazin, d.F.idempotent
+    ed, epi = d.E.drazin, d.E.idempotent
     ident = identity(n)
     fs2 = fs @ fs
     edfpi = ed @ fpi
@@ -718,7 +717,7 @@ def cor42_group(
 
 
 def _cor42(d: _DrazinData) -> GroupFormulaBlocks | NoGroupInverse:
-    return _transpose_dual(_thm41, d, "identical-subblock split (F^pi E F = 0)", Pattern.EF_F0)
+    return _gate(d, "cor42") or _transpose_dual(_thm41, d, Pattern.EF_F0)
 
 
 def cor43_group(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> GroupFormulaBlocks:
@@ -736,30 +735,12 @@ def cor43_group(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> Group
 
 
 def _cor43(d: _DrazinData) -> GroupFormulaBlocks:
-    threshold = d.threshold
-    ind_e, ind_f = d.E.index, d.F.index
-    if ind_e > 1 or ind_f > 1:
-        raise HypothesisError(
-            f"both blocks must be group invertible (ind(E) = {ind_e}, ind(F) = {ind_f})",
-            {"ind(E)": float(ind_e), "ind(F)": float(ind_f)},
-        )
-    r_fefpi = d.residual("FEFpi")
-    r_fpief = d.residual("FpiEF")
-    if min(r_fefpi, r_fpief) > threshold:
-        raise HypothesisError(
-            "neither annihilator hypothesis holds "
-            f"(|FEF^pi| = {r_fefpi:.3e}, |F^pi E F| = {r_fpief:.3e})",
-            {"FEFpi": r_fefpi, "FpiEF": r_fpief},
-        )
-    family = "FEFpi" if r_fefpi <= threshold else "FpiEF"
-    if r_fefpi <= threshold:
-        out = _thm41(d)
-    else:
-        # only the transposed machinery is sound for the F^pi E F family
-        out = _cor42(d)
+    _gate(d, "cor43")
+    fefpi, fpief = _judge(d, "FEFpi").passed, _judge(d, "FpiEF").passed
+    # only the transposed machinery is sound for the F^pi E F family
+    out = _thm41(d) if fefpi else _cor42(d)
     assert isinstance(out, GroupFormulaBlocks)  # existence is automatic: E E^pi = 0
-    if r_fefpi <= threshold and r_fpief <= threshold:
-        family = "both"
+    family = "both" if fefpi and fpief else "FEFpi" if fefpi else "FpiEF"
     return replace(out, diagnostics={"hypothesis_family": family})
 
 
@@ -771,8 +752,8 @@ def cor44_group(
     Requires EF = lam FE (for the supplied lam) or EF^2 = FEF; the
     hypothesis reduces to the annihilator condition of :func:`cor43_group`.
     """
-    d = _DrazinData(e, f, tol)
-    _commutation_gate(d, lam, "commutation split")
+    d = _DrazinData(e, f, tol, lam)
+    _gate(d, "cor44")
     return _cor43(d)
 
 
@@ -782,21 +763,34 @@ def cor44_group(
 
 @dataclass(frozen=True)
 class _Formula:
-    """One formula id.
+    """One formula id and the clauses its gate judges, in order.
 
-    ``clauses`` are the names ``check_conditions`` reports: annihilator
-    hypotheses first, then existence clauses.  ``existence`` is the
-    existence clause a generated pair can break on its own (None when
-    existence is automatic).  ``body`` is the formula's function of
-    (E, F, tol), or of (E, F, lam, tol) for the formulas whose
-    hypotheses include the commutation clause EF2-FEF.
+    A failing clause of ``hypotheses`` refuses the pair (HypothesisError);
+    failing clauses of ``existence_clauses`` answer NoGroupInverse.
+    Clauses that need no Drazin datum come first, so a refusal computes
+    no Drazin inverse it does not read.  ``body`` is the formula's
+    function of (E, F, tol), or of (E, F, lam, tol) for the formulas
+    whose hypotheses include the commutation clause EF2-FEF.
     """
 
-    pattern: Pattern
+    pattern: Pattern | None
     kind: InverseKind
-    clauses: tuple[str, ...]
-    existence: str | None
+    hypotheses: tuple[str, ...]
+    existence_clauses: tuple[str, ...]
     body: Callable
+
+    @property
+    def clauses(self) -> tuple[str, ...]:
+        """The names ``check_conditions`` reports, in gate order."""
+        return self.hypotheses + self.existence_clauses
+
+    @property
+    def existence(self) -> str | None:
+        """The existence clause a generated pair can break on its own, None when automatic.
+
+        It is the last one: the generators do not break FFpi on its own.
+        """
+        return self.existence_clauses[-1] if self.existence_clauses else None
 
 
 class _Registry(dict):
@@ -806,20 +800,25 @@ class _Registry(dict):
 
 _ANTI = ("EFEFpi", "F2EFpi")
 REGISTRY = _Registry({
-    "thm23": _Formula(Pattern.EI_F0, InverseKind.G_DRAZIN, ("EFE", "F2E"), None, thm23),
-    "thm25": _Formula(Pattern.EI_F0, InverseKind.G_DRAZIN, _ANTI, None, thm25),
-    "cor26": _Formula(Pattern.EF_I0, InverseKind.G_DRAZIN, _ANTI, None, cor26),
-    "thm27": _Formula(Pattern.EI_F0, InverseKind.DRAZIN, _ANTI, None, thm27),
-    "thm31": _Formula(Pattern.EI_F0, InverseKind.GROUP, ("FEFpi", "FFpi", "EpiFpi"), "EpiFpi", thm31_group),
-    "cor32": _Formula(Pattern.EF_I0, InverseKind.GROUP, ("FEFpi", "FFpi", "EpiFpi"), "EpiFpi", cor32_group),
-    "thm33": _Formula(Pattern.EF_I0, InverseKind.GROUP, ("FpiEF", "FFpi", "FpiEpi"), "FpiEpi", thm33_group),
-    "cor34": _Formula(Pattern.EI_F0, InverseKind.GROUP, ("FpiEF", "FFpi", "FpiEpi"), "FpiEpi", cor34_group),
-    "cor35": _Formula(Pattern.EF_I0, InverseKind.GROUP, ("EF2-FEF", "FFpi", "FpiEpi"), "FpiEpi", cor35_group),
-    "thm41": _Formula(Pattern.EF_F0, InverseKind.GROUP, ("FFpi", "FEFpi", "EEpiFpi"), "EEpiFpi", thm41_group),
-    "cor42": _Formula(Pattern.EF_F0, InverseKind.GROUP, ("FFpi", "FpiEF", "FpiEpiE"), "FpiEpiE", cor42_group),
-    "cor43": _Formula(Pattern.EF_F0, InverseKind.GROUP, ("EEpi", "FFpi", "FEFpi|FpiEF"), None, cor43_group),
-    "cor44": _Formula(Pattern.EF_F0, InverseKind.GROUP, ("EEpi", "FFpi", "EF2-FEF"), None, cor44_group),
+    "thm23": _Formula(Pattern.EI_F0, InverseKind.G_DRAZIN, ("EFE", "F2E"), (), thm23),
+    "thm25": _Formula(Pattern.EI_F0, InverseKind.G_DRAZIN, _ANTI, (), thm25),
+    "cor26": _Formula(Pattern.EF_I0, InverseKind.G_DRAZIN, _ANTI, (), cor26),
+    "thm27": _Formula(Pattern.EI_F0, InverseKind.DRAZIN, _ANTI, (), thm27),
+    "thm31": _Formula(Pattern.EI_F0, InverseKind.GROUP, ("FEFpi",), ("FFpi", "EpiFpi"), thm31_group),
+    "cor32": _Formula(Pattern.EF_I0, InverseKind.GROUP, ("FEFpi",), ("FFpi", "EpiFpi"), cor32_group),
+    "thm33": _Formula(Pattern.EF_I0, InverseKind.GROUP, ("FpiEF",), ("FFpi", "FpiEpi"), thm33_group),
+    "cor34": _Formula(Pattern.EI_F0, InverseKind.GROUP, ("FpiEF",), ("FFpi", "FpiEpi"), cor34_group),
+    "cor35": _Formula(Pattern.EF_I0, InverseKind.GROUP, ("EF2-FEF",), ("FFpi", "FpiEpi"), cor35_group),
+    "thm41": _Formula(Pattern.EF_F0, InverseKind.GROUP, ("FFpi", "FEFpi"), ("EEpiFpi",), thm41_group),
+    "cor42": _Formula(Pattern.EF_F0, InverseKind.GROUP, ("FFpi", "FpiEF"), ("FpiEpiE",), cor42_group),
+    "cor43": _Formula(Pattern.EF_F0, InverseKind.GROUP, ("EEpi", "FFpi", "FEFpi|FpiEF"), (), cor43_group),
+    "cor44": _Formula(Pattern.EF_F0, InverseKind.GROUP, ("EF2-FEF", "EEpi", "FFpi"), (), cor44_group),
 })
+# The additive lemmas gate like the formulas; they are no formula id.
+_LEMMAS = {
+    "lemma22": _Formula(None, InverseKind.DRAZIN, ("PQP", "Q2P"), (), lemma22_additive),
+    "lemma24": _Formula(None, InverseKind.DRAZIN, ("PQ",), (), lemma24_additive),
+}
 
 
 def apply_formula(

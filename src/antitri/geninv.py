@@ -45,6 +45,7 @@ from .core import (
     matrix_power,
     rank,
     rank_factorize,
+    require_finite,
     ShapeError,
     zeros,
 )
@@ -142,9 +143,11 @@ def drazin(a: np.ndarray, tol: float = DEFAULT_TOL) -> DrazinResult:
     One absolute pivot floor, tol * max|a|, is fixed at the top level
     and carried through every recursion level so rank decisions stay
     mutually consistent; the nilpotent residue of the deepest level is
-    then never mistaken for an invertible core.
+    then never mistaken for an invertible core.  NaN/Inf entries raise
+    ValueError.
     """
     _require_square(a, "drazin")
+    require_finite(a)
     floor = tol * float(np.max(np.abs(a))) if a.size else 0.0
     ad, k = _drazin_core(a, tol, floor)
     pi = identity(a.shape[0]) - a @ ad

@@ -77,9 +77,12 @@ def run_sweep(
     Each instance costs one Drazin inverse of the assembled M: in
     :func:`compare` when the formula returns blocks, in
     :func:`oracle_has_group_inverse` otherwise; either gives the
-    recorded ``oracle_index``.  An unknown id raises KeyError, and a
-    recipe that no dimension can meet raises InfeasibleRecipeError.
+    recorded ``oracle_index``.  An unknown id raises KeyError, nmax < 1
+    raises ValueError, and a recipe that no dimension can meet raises
+    InfeasibleRecipeError.
     """
+    if nmax < 1:
+        raise ValueError(f"nmax must be >= 1, got {nmax}")
     group = REGISTRY[theorem_id].kind is InverseKind.GROUP
     instances = _instances(theorem_id, violate, seed, nmax)
     if theorem_id == "thm41" and violate is None:

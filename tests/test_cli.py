@@ -200,3 +200,17 @@ def test_console_entry_point():
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["verification"]["pass"]
+
+
+def test_cmd_drazin_infinite_tol_is_an_input_error(tmp_path, capsys):
+    # at tol = inf every rank decision reads 0 and the printed A^D was 0
+    p = tmp_path / "a.json"
+    write_matrix(str(p), matrix([[1, 1], [0, 0]]))
+    for tol in ("inf", "nan"):
+        code, rep = run_cli(capsys, "drazin", str(p), "--tol", tol)
+        assert code == EXIT_IO and rep is None, tol
+
+
+def test_cmd_sweep_nmax_zero_is_an_input_error(capsys):
+    code, rep = run_cli(capsys, "sweep", "--theorem", "thm31", "--count", "2", "--nmax", "0")
+    assert code == EXIT_IO and rep is None

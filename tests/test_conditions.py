@@ -159,3 +159,34 @@ def test_violated_existence_clause_matches_oracle_index():
     assert not rep.entry("EpiFpi").passed
     assert rep.entry("FEFpi").passed
     assert index_of(assemble(pair)) >= 2
+
+
+def test_gate_and_report_give_one_verdict():
+    # one judge decides every clause, for the formula's gate and for
+    # check_conditions alike: a refusal names a failing entry, a
+    # NoGroupInverse names only failing entries, blocks mean every entry passed
+    from antitri import HypothesisError, NoGroupInverse, apply_formula
+
+    for tid in THEOREM_IDS:
+        lams = (None, 1, -1) if "EF2-FEF" in FEASIBLE_VIOLATIONS[tid] else (None,)
+        for violate in (None,) + FEASIBLE_VIOLATIONS[tid]:
+            for seed in range(3):
+                try:
+                    pair = generate(GeneratorRecipe(tid, 2 + seed, seed, violate=violate))
+                except InfeasibleRecipeError:
+                    continue
+                for s in (1.0, 1e-6, 1e6):
+                    e, f = pair.E * s, pair.F * s
+                    for lam in lams:
+                        case = (tid, violate, seed, s, lam)
+                        report = check_conditions(e, f, tid, lam=lam)
+                        failing = {x.name for x in report.entries if not x.passed}
+                        try:
+                            out = apply_formula(tid, e, f, lam=lam)
+                        except HypothesisError as err:
+                            assert err.clause in failing, case
+                            continue
+                        if isinstance(out, NoGroupInverse):
+                            assert out.failed and set(out.failed) <= failing, case
+                        else:
+                            assert report.overall, case

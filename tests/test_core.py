@@ -260,3 +260,17 @@ def test_factorization_inverse_does_not_alias_its_input():
     want = invert(a)
     a[0, 0] = 100.0
     assert np.array_equal(f.inverse(), want)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, np.inf, np.nan])
+def test_rank_factorize_rejects_non_finite_or_non_positive_tol(tol):
+    # tol = inf made every pivot fall below the cut, so drazin of the
+    # idempotent [[1, 1], [0, 0]] returned 0 with index 1; tol = nan
+    # dropped the relative cut without a word
+    with pytest.raises(ValueError, match="finite tol > 0"):
+        rank_factorize(identity(2), tol)
+    if tol == np.inf:
+        from antitri import drazin
+
+        with pytest.raises(ValueError, match="finite tol > 0"):
+            drazin(matrix([[1, 1], [0, 0]]), tol)

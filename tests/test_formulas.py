@@ -239,7 +239,7 @@ def test_lemma22_hypothesis_gate(rng):
     p, q = random_complex(rng, 3), random_complex(rng, 3)
     with pytest.raises(HypothesisError) as err:
         lemma22_additive(p, q)
-    assert set(err.value.residuals) == {"PQP", "Q2P"}
+    assert set(err.value.residuals) == {"PQP"}  # the first failing clause stops the gate
 
 
 def test_lemma24_degenerate(rng):
@@ -371,7 +371,7 @@ def test_thm25_hypothesis_gate(rng):
     e, f = random_complex(rng, 3), jordan_nilpotent(3)
     with pytest.raises(HypothesisError) as err:
         thm25(e, f)
-    assert set(err.value.residuals) == {"EFEFpi", "F2EFpi"}
+    assert set(err.value.residuals) == {"EFEFpi"}  # the first failing clause stops the gate
 
 
 def test_thm27_equals_thm25():
@@ -513,7 +513,7 @@ def test_cor35_lambda_minus_one():
     out = cor35_group(e, f, lam=-1)
     # F is not group invertible, so the assembled matrix cannot be either
     assert isinstance(out, NoGroupInverse)
-    assert "group_inverse(F)" in out.failed
+    assert "FFpi" in out.failed
     m = np.block([[e, f], [identity(2), zeros(2, 2)]])
     assert index_of(m) >= 2
 
@@ -523,8 +523,7 @@ def test_cor35_commutation_gate():
     f = matrix([[1, 0], [1, 1]])
     with pytest.raises(HypothesisError) as err:
         cor35_group(e, f, lam=1)
-    assert "EF-lam.FE" in err.value.residuals
-    assert "EF2-FEF" in err.value.residuals
+    assert set(err.value.residuals) == {"EF-lFE|EF2-FEF"}  # neither alternative holds
 
 
 @pytest.mark.parametrize("tid,seed", [("thm31", 1), ("cor32", 1), ("thm33", 1), ("cor34", 1), ("cor35", 3)])
@@ -822,3 +821,19 @@ def test_lam_is_refused_without_commutation_clause():
     with pytest.raises(ValueError, match="lam"):
         apply_formula("thm41", E45, F45, lam=5)
     assert not isinstance(apply_formula("cor44", E45, F45, lam=5), NoGroupInverse)
+
+
+def _nan_corner():
+    a = identity(2)
+    a[0, 0] = np.nan
+    return a
+
+
+def test_lemma21_triangular_rejects_non_finite():
+    with pytest.raises(ValueError, match="finite"):
+        lemma21_triangular(_nan_corner(), identity(2), identity(2))
+
+
+def test_cline_rejects_non_finite():
+    with pytest.raises(ValueError, match="finite"):
+        cline(_nan_corner(), identity(2))

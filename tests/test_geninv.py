@@ -262,3 +262,12 @@ def test_group_existence_rank_criterion():
         b = a / scale
         rank_match = rank(b, floor=1e-10) == rank(b @ b, floor=1e-10)
         assert (index_of(a) <= 1) == rank_match
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_drazin_rejects_non_finite(bad):
+    # a NaN entry used to come back as index 0 with a NaN row
+    a = identity(2)
+    a[0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        drazin(a)

@@ -60,3 +60,12 @@ def test_one_oracle_drazin_per_record(monkeypatch):
         calls.clear()
         summary = run_sweep(tid, count=8)
         assert summary.passed and len(calls) == len(summary.records) == 8, tid
+
+
+def test_nmax_below_one_is_rejected(deadline):
+    # nmax = 0 used to end in ZeroDivisionError inside the instance cycle
+    for nmax in (0, -1):
+        with pytest.raises(ValueError, match="nmax"):
+            run_sweep("thm31", count=2, nmax=nmax)
+        with pytest.raises(ValueError, match="nmax"):
+            existence_sweep("thm31", count=2, nmax=nmax)
