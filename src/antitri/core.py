@@ -8,8 +8,9 @@ objects with dtype ``complex128``; :func:`matrix` is the validating
 constructor that rejects non-finite entries.
 
 Rank decisions use Gaussian elimination with complete pivoting and a
-threshold relative to the largest pivot (default ``1e-10``); solves are
-LAPACK LU, run once it has certified full rank.  No eigen/SVD anywhere.
+threshold relative to the largest pivot (default ``1e-10``); solves and
+inverses are LAPACK LU (``numpy.linalg.solve``/``inv``), run once it
+has certified full rank.  No eigen/SVD anywhere.
 """
 
 from __future__ import annotations
@@ -48,6 +49,12 @@ def require_finite(*arrays: np.ndarray) -> None:
     """Raise ValueError when any entry of the arrays is NaN or Inf."""
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
+
+
+def require_tol(tol: float) -> None:
+    """Raise ValueError unless 0 < tol < inf (a NaN tol fails too)."""
+    if not 0 < tol < math.inf:
+        raise ValueError("rank_factorize requires a finite tol > 0")
 
 
 def zeros(rows: int, cols: int | None = None) -> np.ndarray:
@@ -128,10 +135,14 @@ class RankFactorization:
         return right
 
     def inverse(self) -> np.ndarray:
-        """a^-1 of the factored a, bit for bit ``invert(a, tol, floor)``."""
-        return self._solve(identity(self._matrix.shape[0]))
+        """a^-1 of the factored a by LAPACK ``inv``, bit for bit ``np.linalg.solve(a, I)``."""
+        return np.linalg.inv(self._full_rank())
 
     def _solve(self, b: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(self._full_rank(), b)
+
+    def _full_rank(self) -> np.ndarray:
+        """The private copy of a, once the elimination has certified it square of full rank."""
         n, m = self._matrix.shape
         if n != m:
             raise ShapeError(f"solve requires a square matrix, got {self._matrix.shape}")
@@ -139,7 +150,7 @@ class RankFactorization:
             raise SingularMatrixError(
                 f"matrix is singular to tolerance {self.tolerance_used:g} (rank {self.rank} < {n})"
             )
-        return np.linalg.solve(self._matrix, b)
+        return self._matrix
 
 
 def _eliminate(a: np.ndarray, tol: float, floor: float = 0.0):
@@ -180,8 +191,10 @@ def _eliminate(a: np.ndarray, tol: float, floor: float = 0.0):
             pcol[k], pcol[j] = pcol[j], pcol[k]
         rank += 1
         if k + 1 < n:
-            lu[k + 1:, k] /= lu[k, k]
-            lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+            col = lu[k + 1:, k]
+            col /= lu[k, k]
+            # np.outer without its wrapper; the copy is the contiguous column its ravel makes
+            lu[k + 1:, k + 1:] -= col.copy()[:, None] * lu[k, None, k + 1:]
     return lu, np.array(prow, dtype=np.intp), np.array(pcol, dtype=np.intp), rank
 
 
@@ -193,8 +206,7 @@ def rank_factorize(
     tol must be positive and finite; rank 0 (within tolerance of the zero
     matrix) returns empty factors and the reconstruction contract is a ~ 0.
     """
-    if not 0 < tol < math.inf:  # also false for NaN
-        raise ValueError("rank_factorize requires a finite tol > 0")
+    require_tol(tol)
     lu, prow, pcol, r = _eliminate(a, tol, floor)
     copy = np.array(a, dtype=np.complex128, copy=True)
     return RankFactorization(rank=r, tolerance_used=tol, _elimination=(lu, prow, pcol), _matrix=copy)
@@ -214,7 +226,8 @@ def solve(
 
 
 def invert(a: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> np.ndarray:
-    return solve(a, identity(a.shape[0]), tol, floor)
+    """a^-1 by LAPACK ``inv``; SingularMatrixError if a is singular to tol."""
+    return rank_factorize(a, tol, floor).inverse()
 
 
 def block2x2(tl: np.ndarray, tr: np.ndarray, bl: np.ndarray, br: np.ndarray) -> np.ndarray:

@@ -62,6 +62,7 @@ from .core import (
     identity,
     matrix_power,
     require_finite,
+    require_tol,
     split2x2,
     zeros,
 )
@@ -175,6 +176,7 @@ class _DrazinData:
         self, e: np.ndarray, f: np.ndarray, tol: float, lam: complex | None = None, transpose_of=None
     ):
         BlockPair(e, f)  # shape check
+        require_tol(tol)  # a judge's threshold is tol-relative
         self.e, self.f, self.tol, self.lam = e, f, tol, lam
         self._transpose_of = transpose_of
         self.verdicts: dict[str, ConditionEntry] = {}
@@ -337,6 +339,7 @@ def lemma21_triangular(
         raise ShapeError("lemma21_triangular requires square diagonal blocks")
     if c.shape != (b.shape[0], a.shape[1]):
         raise ShapeError(f"C must be {b.shape[0]} x {a.shape[1]}, got {c.shape}")
+    require_finite(c)
     ra = drazin(a, tol)
     rb = drazin(b, tol)
     ad, api = ra.drazin, ra.idempotent
@@ -676,7 +679,16 @@ def thm41_group(
 
     Standing requirements: F group invertible and F E F^pi = 0 (both
     enforced as errors).  The group inverse exists iff E E^pi F^pi = 0.
-    Returns the printed blocks.
+    Returns the printed blocks, with each product they share formed once:
+    with efs = E F^#, efs2 = efs F^#, x = E^pi F^pi efs2 and
+    core = E^D F^pi + x,
+
+        Gamma  = core - E^pi F^pi core + x
+        Delta  = delta - E^pi F^pi delta - x efs,  delta = F^# - core efs
+        Lambda = F (core core - core efs2) + F^#
+        Xi     = F core delta - (F^# - F core efs2) efs.
+
+    The printed display itself is kept verbatim in the tests.
     """
     return _thm41(_DrazinData(e, f, tol))
 
@@ -684,22 +696,20 @@ def thm41_group(
 def _thm41(d: _DrazinData) -> GroupFormulaBlocks | NoGroupInverse:
     if no_group := _gate(d, "thm41"):
         return no_group
-    e, f = d.e, d.f
-    n = e.shape[0]
+    f = d.f
     fs, fpi = d.F.drazin, d.F.idempotent
-    ed, epi = d.E.drazin, d.E.idempotent
-    ident = identity(n)
-    fs2 = fs @ fs
-    edfpi = ed @ fpi
-    epifpi = epi @ fpi
-    core = edfpi + epifpi @ e @ fs2  # recurring corner symbol
-    gamma = (ident - epifpi) @ core + epifpi @ e @ fs2
-    delta_inner = fs - epifpi @ e @ fs2 @ e @ fs - edfpi @ e @ fs
-    delta = (ident - epifpi) @ delta_inner - epifpi @ e @ fs2 @ e @ fs
-    lam = f @ core @ core + fs - f @ epifpi @ (e @ fs2) @ (e @ fs2) - f @ edfpi @ e @ fs2
-    xi = (f @ edfpi + f @ epifpi @ e @ fs2) @ delta_inner - (
-        fs - f @ epifpi @ e @ fs2 @ e @ fs2 - f @ edfpi @ e @ fs2
-    ) @ e @ fs
+    efs = d.e @ fs
+    efs2 = efs @ fs
+    edfpi = d.E.drazin @ fpi
+    epifpi = d.E.idempotent @ fpi
+    x = epifpi @ efs2
+    core = edfpi + x  # recurring corner symbol
+    gamma = core - epifpi @ core + x
+    delta_inner = fs - core @ efs
+    delta = delta_inner - epifpi @ delta_inner - x @ efs
+    v = core @ efs2
+    lam = f @ (core @ core - v) + fs
+    xi = f @ (core @ delta_inner) - (fs - f @ v) @ efs
     return GroupFormulaBlocks(Gamma=gamma, Delta=delta, Lambda=lam, Xi=xi, pattern=Pattern.EF_F0)
 
 

@@ -21,7 +21,7 @@ is invertible and ind(A) = j, or at a level of rank 0, where A is
 nilpotent, A^D = 0 and ind(A) = j + 1.  A call at index k makes at
 most k + 1 pivoted eliminations, one per level, all through
 :func:`antitri.core.rank_factorize`.  Only singular levels build their
-factors B_j, C_j; the invertible level goes to one LAPACK LU solve.
+factors B_j, C_j; the invertible level goes to one LAPACK ``inv``.
 
 The axiom residuals of a :class:`DrazinResult` are computed on first
 read.  :func:`index_of` ranks powers of A directly and stays as an
@@ -33,6 +33,7 @@ representation in :mod:`antitri.formulas` is checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -45,7 +46,6 @@ from .core import (
     matrix_power,
     rank,
     rank_factorize,
-    require_finite,
     ShapeError,
     zeros,
 )
@@ -124,7 +124,7 @@ def _drazin_core(a: np.ndarray, tol: float, floor: float) -> tuple[np.ndarray, i
     while True:
         f = rank_factorize(a, tol, floor)  # f.rank = rank(A_j) = rank(A^(j+1))
         if f.rank == prev_rank:  # A_j is invertible and ind(A) = j
-            x = f.inverse()  # LAPACK LU, full rank certified by that elimination
+            x = f.inverse()  # LAPACK inv, full rank certified by that elimination
             break
         if f.rank == 0:  # A^(j+1) = 0
             return zeros(n, n), len(levels) + 1
@@ -144,12 +144,14 @@ def drazin(a: np.ndarray, tol: float = DEFAULT_TOL) -> DrazinResult:
     and carried through every recursion level so rank decisions stay
     mutually consistent; the nilpotent residue of the deepest level is
     then never mistaken for an invertible core.  NaN/Inf entries raise
-    ValueError.
+    ValueError: they make max|a| non-finite, so one scan of a serves
+    both the check and the floor.
     """
     _require_square(a, "drazin")
-    require_finite(a)
-    floor = tol * float(np.max(np.abs(a))) if a.size else 0.0
-    ad, k = _drazin_core(a, tol, floor)
+    amax = float(np.abs(a).max()) if a.size else 0.0
+    if not math.isfinite(amax):
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    ad, k = _drazin_core(a, tol, tol * amax)
     pi = identity(a.shape[0]) - a @ ad
     return DrazinResult(drazin=ad, index=k, idempotent=pi, source=a.copy(), tol=tol)
 

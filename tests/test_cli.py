@@ -214,3 +214,16 @@ def test_cmd_drazin_infinite_tol_is_an_input_error(tmp_path, capsys):
 def test_cmd_sweep_nmax_zero_is_an_input_error(capsys):
     code, rep = run_cli(capsys, "sweep", "--theorem", "thm31", "--count", "2", "--nmax", "0")
     assert code == EXIT_IO and rep is None
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_cmd_block_bad_tol_is_an_input_error_for_every_id(capsys, tol):
+    # thm23's first clause needs no Drazin datum, so tol = -1 was judged and
+    # exited 1 as a failed hypothesis, while thm41 exited 3
+    from antitri import THEOREM_IDS
+
+    for theorem in THEOREM_IDS:
+        code, rep = run_cli(
+            capsys, "block", "--fixture", "example45", "--theorem", theorem, "--tol", tol
+        )
+        assert code == EXIT_IO and rep is None, (theorem, tol)

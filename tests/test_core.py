@@ -125,7 +125,7 @@ def test_block2x2_matches_np_block_bit_for_bit(rng):
 
 
 def _reference_eliminate(a, tol, floor=0.0):
-    """The kernel as it was before its pivot swaps went in place: fancy-index swaps."""
+    """The kernel before its pivot swaps went in place and its update dropped np.outer."""
     lu = np.array(a, dtype=np.complex128, copy=True)
     n, m = lu.shape
     prow = np.arange(n)
@@ -204,6 +204,42 @@ def test_factorization_inverse_is_invert_bit_for_bit(rng):
             assert np.array_equal(f.inverse().view(np.float64), want.view(np.float64))
             checked += 1
     assert checked >= 40
+
+
+def _lapack_inputs(rng):
+    """Random, tie-heavy integer and 1e-6/1e6-rescaled square inputs, n = 1..32."""
+    for n in range(1, 33):
+        a = random_complex(rng, n)
+        ties = matrix(rng.integers(-2, 3, (n, n)) + 1j * rng.integers(-2, 3, (n, n)))
+        yield from (a, ties, a * 1e-6, a * 1e6, ties * 1e-6, ties * 1e6)
+
+
+def test_inverse_is_lapack_solve_on_the_identity_bit_for_bit(rng):
+    # inverse() and invert are LAPACK inv, which is gesv on the identity
+    checked = 0
+    for a in _lapack_inputs(rng):
+        f = rank_factorize(a)
+        if f.rank < a.shape[0]:
+            with pytest.raises(SingularMatrixError):
+                invert(a)
+            continue
+        want = np.linalg.solve(a, identity(a.shape[0])).view(np.float64)
+        assert np.array_equal(f.inverse().view(np.float64), want)
+        assert np.array_equal(invert(a).view(np.float64), want)
+        checked += 1
+    assert checked >= 150
+
+
+def test_eliminate_matches_reference_up_to_n32_bit_for_bit(rng):
+    from antitri.core import _eliminate
+
+    for a in _lapack_inputs(rng):
+        for tol, floor in ((1e-10, 0.0), (1e-3, 1e-10 * float(np.max(np.abs(a))))):
+            lu, prow, pcol, r = _eliminate(a, tol, floor)
+            ref_lu, ref_prow, ref_pcol, ref_r = _reference_eliminate(a, tol, floor)
+            assert r == ref_r
+            assert np.array_equal(lu.view(np.float64), ref_lu.view(np.float64))
+            assert np.array_equal(prow, ref_prow) and np.array_equal(pcol, ref_pcol)
 
 
 def _reference_factors(lu, prow, pcol, r):

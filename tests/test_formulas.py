@@ -111,6 +111,28 @@ def cor34_display(e, f):
     )
 
 
+def thm41_display(e, f, data=None):
+    """Printed blocks of Theorem 4.1 (F E F^pi = 0, [[E, F], [F, 0]]).
+
+    ``data`` is (F^#, F^pi, E^D, E^pi), by default computed from (E, F).
+    """
+    fs, fpi, ed, epi = _drazin_data(e, f) if data is None else data
+    n = e.shape[0]
+    ident = identity(n)
+    fs2 = fs @ fs
+    edfpi = ed @ fpi
+    epifpi = epi @ fpi
+    core = edfpi + epifpi @ e @ fs2  # recurring corner symbol
+    gamma = (ident - epifpi) @ core + epifpi @ e @ fs2
+    delta_inner = fs - epifpi @ e @ fs2 @ e @ fs - edfpi @ e @ fs
+    delta = (ident - epifpi) @ delta_inner - epifpi @ e @ fs2 @ e @ fs
+    lam = f @ core @ core + fs - f @ epifpi @ (e @ fs2) @ (e @ fs2) - f @ edfpi @ e @ fs2
+    xi = (f @ edfpi + f @ epifpi @ e @ fs2) @ delta_inner - (
+        fs - f @ epifpi @ e @ fs2 @ e @ fs2 - f @ edfpi @ e @ fs2
+    ) @ e @ fs
+    return block2x2(gamma, delta, lam, xi)
+
+
 def thm41_constructive(e, f):
     """Theorem 4.1 through the group inverse of N = [[E, I], [F^2, 0]]."""
     fs, fpi, ed, epi = _drazin_data(e, f)
@@ -550,6 +572,24 @@ def test_thm41_golden_fixture():
     assert np.max(np.abs(out.assemble() - M45_GROUP)) <= 1e-12
 
 
+def test_thm41_blocks_are_the_printed_display_regrouped():
+    # the returned blocks form each shared product once; regrouping moves
+    # them off the printed display by rounding only, and not at all on the
+    # golden fixture; cor42 reads the same body through the transpose
+    for pair in pairs_for("thm41", 60, seed=43):
+        out = thm41_group(pair.E, pair.F)
+        assert rel_err(out.assemble(), thm41_display(pair.E, pair.F)) <= 1e-12
+    for pair in pairs_for("cor42", 60, seed=53):
+        # cor42 reads the transposed Drazin data of (E, F), as does this display
+        data_t = tuple(x.T for x in _drazin_data(pair.E, pair.F))
+        want = thm41_display(pair.E.T, pair.F.T, data_t).T
+        assert rel_err(cor42_group(pair.E, pair.F).assemble(), want) <= 1e-12
+    got, want = thm41_group(E45, F45).assemble(), thm41_display(E45, F45)
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+    got = cor42_group(E45.T.copy(), F45.T.copy()).assemble()
+    assert np.array_equal(got.view(np.float64), want.T.copy().view(np.float64))
+
+
 def test_thm41_f_invertible_e_zero():
     f = matrix([[2, 1], [1, 1]])
     out = thm41_group(zeros(2, 2), f)
@@ -674,8 +714,7 @@ def test_cor43_hypothesis_family_arbitration():
     seen_strict = 0
     for pair in pairs_for("cor43", 40, seed=301):
         e, f = pair.E, pair.F
-        rf, re = drazin(f), drazin(e)
-        fpi = rf.idempotent
+        fpi = drazin(f).idempotent
         scale = max(1.0, frobenius_norm(e)) * max(1.0, frobenius_norm(f))
         fefpi = frobenius_norm(f @ e @ fpi)
         fpief = frobenius_norm(fpi @ e @ f)
@@ -685,20 +724,7 @@ def test_cor43_hypothesis_family_arbitration():
             seen_strict += 1
             assert out.diagnostics["hypothesis_family"] == "FpiEF"
             # untransposed-family blocks, forced onto this instance
-            fs, es, epi = rf.drazin, re.drazin, re.idempotent
-            n = e.shape[0]
-            fs2 = fs @ fs
-            esfpi = es @ fpi
-            epifpi = epi @ fpi
-            core = esfpi + epifpi @ e @ fs2
-            delta_inner = fs - epifpi @ e @ fs2 @ e @ fs - esfpi @ e @ fs
-            wrong = block2x2(
-                (identity(n) - epifpi) @ core + epifpi @ e @ fs2,
-                (identity(n) - epifpi) @ delta_inner - epifpi @ e @ fs2 @ e @ fs,
-                f @ core @ core + fs - f @ epifpi @ (e @ fs2) @ (e @ fs2) - f @ esfpi @ e @ fs2,
-                (f @ esfpi + f @ epifpi @ e @ fs2) @ delta_inner
-                - (fs - f @ epifpi @ e @ fs2 @ e @ fs2 - f @ esfpi @ e @ fs2) @ e @ fs,
-            )
+            wrong = thm41_display(e, f)
             oracle = oracle_drazin(assemble(pair))
             assert rel_err(wrong, oracle) > 1e-6
     assert seen_strict >= 3
@@ -832,6 +858,28 @@ def _nan_corner():
 def test_lemma21_triangular_rejects_non_finite():
     with pytest.raises(ValueError, match="finite"):
         lemma21_triangular(_nan_corner(), identity(2), identity(2))
+
+
+def test_lemma21_triangular_rejects_non_finite_c():
+    # drazin checks A and B; C reaches the sums unchecked and gave NaN blocks
+    with pytest.raises(ValueError, match="finite"):
+        lemma21_triangular(identity(2), identity(2), _nan_corner())
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.inf, np.nan])
+def test_bad_tol_is_refused_before_any_judgement(tol):
+    # a clause needing no Drazin datum was judged against a threshold of
+    # tol * scale: tol = -1 refused thm23 with threshold -3.46 as a failed
+    # hypothesis, and tol = nan reported NaN thresholds
+    from antitri import THEOREM_IDS, apply_formula, check_conditions
+
+    with pytest.raises(ValueError, match="finite tol > 0"):
+        thm23(E45, F45, tol=tol)
+    for tid in THEOREM_IDS:
+        with pytest.raises(ValueError, match="finite tol > 0"):
+            apply_formula(tid, E45, F45, tol=tol)
+        with pytest.raises(ValueError, match="finite tol > 0"):
+            check_conditions(E45, F45, tid, tol=tol)
 
 
 def test_cline_rejects_non_finite():
