@@ -16,6 +16,10 @@ same basis (e.g. FEF^pi = 0 forces the upper-right block of E to
 vanish and N E22 = 0).  Transposed hypothesis families (F^pi E F = 0
 instead of F E F^pi = 0) are generated by transposing a pair built for
 the untransposed family.
+
+Each construction helper makes one draw in a fixed order, so a recipe
+names one pair bit for bit; ``test_generator_stream_is_pinned`` guards
+that order, and changing it changes every generated instance.
 """
 
 from __future__ import annotations
@@ -80,41 +84,40 @@ def example_45() -> BlockPair:
 
 
 def _unimodular(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer unimodular S and its exact integer inverse."""
-    s = np.eye(n, dtype=np.int64)
-    s_inv = np.eye(n, dtype=np.int64)
-    if n == 1:
-        return s.astype(np.complex128), s_inv.astype(np.complex128)
-    for _ in range(n + 2):
-        i, j = rng.integers(0, n, 2)
-        c = int(rng.integers(-2, 3))
+    """Integer unimodular S and its exact integer inverse, from one draw of
+    n + 2 (i, j, c) shears row_i += c row_j (kept while |S| <= 40).
+    """
+    if n == 1:  # no shear to draw
+        return identity(1), identity(1)
+    s = [[int(i == j) for j in range(n)] for i in range(n)]
+    s_inv = [row[:] for row in s]
+    triples = rng.integers([0, 0, -2] * (n + 2), [n, n, 3] * (n + 2)).reshape(-1, 3)
+    for i, j, c in triples.tolist():
         if i == j or c == 0:
             continue
-        trial = s.copy()
-        trial[i, :] += c * trial[j, :]
-        if np.max(np.abs(trial)) > 40:  # keep conditioning under control
+        row = [a + c * b for a, b in zip(s[i], s[j])]
+        if max(map(abs, row)) > 40:  # keep conditioning under control
             continue
-        s = trial
-        s_inv[:, j] -= c * s_inv[:, i]  # fold in the inverse elementary op
-    return s.astype(np.complex128), s_inv.astype(np.complex128)
-
-
-def _phase(rng: np.random.Generator) -> complex:
-    return complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+        s[i] = row
+        for r in s_inv:  # fold in the inverse elementary op: col_j -= c col_i
+            r[j] -= c * r[i]
+    return np.array(s, dtype=np.complex128), np.array(s_inv, dtype=np.complex128)
 
 
 def _invertible_diag(rng: np.random.Generator, n: int) -> np.ndarray:
-    if n == 0:
-        return zeros(0, 0)
-    vals = np.array([rng.uniform(0.5, 2.0) * _phase(rng) for _ in range(n)], dtype=np.complex128)
-    return np.diag(vals)
+    """Diagonal of n (modulus, phase) draws: moduli in [0.5, 2], phases in [0, 2 pi).
+
+    One rng.random draw, scaled as rng.uniform(lo, hi) scales it, without
+    uniform's per-call bound checks.
+    """
+    modulus, phase = rng.random((n, 2)).T
+    return np.diag((0.5 + 1.5 * modulus) * np.exp(2j * np.pi * phase))
 
 
 def _free(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    if rows == 0 or cols == 0:
-        return zeros(rows, cols)
-    grid = rng.integers(-2, 3, (rows, cols)) + 1j * rng.integers(-2, 3, (rows, cols))
-    return (grid / 2.0).astype(np.complex128)
+    """Entries in {-1, -1/2, 0, 1/2, 1} + i{-1, -1/2, 0, 1/2, 1}: real grid drawn first."""
+    re, im = rng.integers(-2, 3, (2, rows, cols))
+    return (re + 1j * im) / 2.0
 
 
 def _nilpotent(rng: np.random.Generator, size: int, lead_index: int = 1) -> tuple[np.ndarray, list[int]]:
@@ -147,8 +150,6 @@ def _kernel_indices(sizes: list[int], depth: int) -> list[int]:
 
 def _group_diag(rng: np.random.Generator, size: int, rank: int | None = None) -> np.ndarray:
     """Group invertible block: invertible diagonal padded with zeros."""
-    if size == 0:
-        return zeros(0, 0)
     g = int(rng.integers(0, size + 1)) if rank is None else rank
     out = zeros(size, size)
     out[:g, :g] = _invertible_diag(rng, g)
@@ -254,7 +255,7 @@ def _build_thm25(rng, n, violate, recipe):
         e22[2, 2] = 1.0  # lead block has size 3 at offset 0
     e11 = _free(rng, r, r)
     e21 = _free(rng, z, r)
-    et = np.block([[e11, zeros(r, z)], [e21, e22]])
+    et = block2x2(e11, zeros(r, z), e21, e22)
     return s @ et @ s_inv, s @ ft @ s_inv
 
 
@@ -282,7 +283,7 @@ def _build_group_eif0(rng, n, violate, recipe, transposed: bool):
         e12 = _free(rng, r, z)
         e12.flat[0] = 1.0
         # E invertible block-triangular: existence clause passes trivially
-        et = np.block([[_invertible_diag(rng, r), e12], [zeros(z, r), _invertible_diag(rng, z)]])
+        et = block2x2(_invertible_diag(rng, r), e12, zeros(z, r), _invertible_diag(rng, z))
     else:
         r, z = _split(rng, n, min_z=1)
         ft = block2x2(_invertible_diag(rng, r), zeros(r, z), zeros(z, r), zeros(z, z))
@@ -292,9 +293,7 @@ def _build_group_eif0(rng, n, violate, recipe, transposed: bool):
             e22 = _group_diag(rng, z, rank=int(rng.integers(0, z)))
         else:
             e22 = _invertible_diag(rng, z)
-        et = np.block(
-            [[_free(rng, r, r), zeros(r, z)], [_free(rng, z, r), e22]]
-        )
+        et = block2x2(_free(rng, r, r), zeros(r, z), _free(rng, z, r), e22)
     if transposed:
         et, ft = et.T.copy(), ft.T.copy()
     return s @ et @ s_inv, s @ ft @ s_inv
@@ -320,7 +319,7 @@ def _build_identical(rng, n, violate, recipe, transposed: bool):
         k1 = _kernel_indices(sizes, 1)
         e22 = zeros(z, z)
         e22[k1[0], k1[0]] = 1.0  # idempotent corner inside ker N: group, N E22 = 0
-        et = np.block([[_free(rng, r, r), zeros(r, z)], [_free(rng, z, r), e22]])
+        et = block2x2(_free(rng, r, r), zeros(r, z), _free(rng, z, r), e22)
     elif plain_violate == "FEFpi":
         if n < 2:
             _infeasible(recipe, "needs both an invertible part and a kernel in F")
@@ -328,7 +327,7 @@ def _build_identical(rng, n, violate, recipe, transposed: bool):
         ft = block2x2(_invertible_diag(rng, r), zeros(r, z), zeros(z, r), zeros(z, z))
         e12 = _free(rng, r, z)
         e12.flat[0] = 1.0
-        et = np.block([[_invertible_diag(rng, r), e12], [zeros(z, r), _invertible_diag(rng, z)]])
+        et = block2x2(_invertible_diag(rng, r), e12, zeros(z, r), _invertible_diag(rng, z))
     elif plain_violate == "EEpiFpi":
         if n < 2:
             _infeasible(recipe, "needs a kernel of size >= 2 in F")
@@ -338,13 +337,11 @@ def _build_identical(rng, n, violate, recipe, transposed: bool):
         e22[0, 1] = 1.0  # index-2 corner: E E^pi F^pi != 0
         if z > 2:
             e22[2:, 2:] = _group_diag(rng, z - 2)
-        et = np.block([[_free(rng, r, r), zeros(r, z)], [_free(rng, z, r), e22]])
+        et = block2x2(_free(rng, r, r), zeros(r, z), _free(rng, z, r), e22)
     else:
         r, z = _split(rng, n)
         ft = block2x2(_invertible_diag(rng, r), zeros(r, z), zeros(z, r), zeros(z, z))
-        et = np.block(
-            [[_free(rng, r, r), zeros(r, z)], [_free(rng, z, r), _group_diag(rng, z)]]
-        )
+        et = block2x2(_free(rng, r, r), zeros(r, z), _free(rng, z, r), _group_diag(rng, z))
     if transposed:
         et, ft = et.T.copy(), ft.T.copy()
     return s @ et @ s_inv, s @ ft @ s_inv
@@ -386,9 +383,7 @@ def _build_cor43(rng, n, violate, recipe):
         e12.flat[0] = 1.0
         e21 = _free(rng, z, r)
         e21.flat[0] = 1.0
-        et = np.block(
-            [[_invertible_diag(rng, r), e12], [e21, _invertible_diag(rng, z)]]
-        )
+        et = block2x2(_invertible_diag(rng, r), e12, e21, _invertible_diag(rng, z))
         return s @ et @ s_inv, s @ ft @ s_inv
     r, z = _split(rng, n)
     ft = block2x2(_invertible_diag(rng, r), zeros(r, z), zeros(z, r), zeros(z, z))
@@ -400,11 +395,11 @@ def _build_cor43(rng, n, violate, recipe):
     elif mode < 0.7:
         # shear similarity: keeps E group invertible, FEF^pi family only
         t = _free(rng, z, r)
-        et = np.block([[e11, zeros(r, z)], [t @ e11 - e22 @ t, e22]])
+        et = block2x2(e11, zeros(r, z), t @ e11 - e22 @ t, e22)
     else:
         # upper shear: F^pi E F family only
         t = _free(rng, r, z)
-        et = np.block([[e11, e11 @ t - t @ e22], [zeros(z, r), e22]])
+        et = block2x2(e11, e11 @ t - t @ e22, zeros(z, r), e22)
     return s @ et @ s_inv, s @ ft @ s_inv
 
 
@@ -452,7 +447,7 @@ def _build_commuting(rng, n, violate, recipe, need_group_e: bool):
     if rng.random() < 0.5 and r >= 1 and z >= 1:
         # EF^2 = FEF but EF != FE: diagonal-over-diagonal with coupling
         a = _invertible_diag(rng, r) if need_group_e else _group_diag(rng, r)
-        et = np.block([[a, _free(rng, r, z)], [zeros(z, r), _invertible_diag(rng, z)]])
+        et = block2x2(a, _free(rng, r, z), zeros(z, r), _invertible_diag(rng, z))
     else:
         dr = _invertible_diag(rng, r) if need_group_e else _group_diag(rng, r)
         et = block2x2(dr, zeros(r, z), zeros(z, r), _invertible_diag(rng, z))
@@ -481,12 +476,16 @@ def generate(recipe: GeneratorRecipe) -> BlockPair:
 
     Without ``violate`` the pair satisfies all the formula's clauses;
     with ``violate`` exactly that clause fails.  Structurally impossible
-    requests raise InfeasibleRecipeError.
+    requests raise InfeasibleRecipeError, a negative seed ValueError.
     """
     if recipe.theorem_id not in _BUILDERS:
         raise KeyError(f"unknown formula id {recipe.theorem_id!r}")
     if recipe.dimension < 1:
         raise InfeasibleRecipeError("dimension must be >= 1")
+    if recipe.seed < 0:
+        raise ValueError(
+            f"recipe {recipe.theorem_id} n={recipe.dimension}: seed must be >= 0, got {recipe.seed}"
+        )
     rng = np.random.default_rng(recipe.seed)
     e, f = _BUILDERS[recipe.theorem_id](rng, recipe.dimension, recipe.violate, recipe)
-    return BlockPair(E=matrix(e), F=matrix(f), pattern=PATTERN_FOR[recipe.theorem_id])
+    return BlockPair(E=e, F=f, pattern=PATTERN_FOR[recipe.theorem_id])

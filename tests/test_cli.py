@@ -216,6 +216,23 @@ def test_cmd_sweep_nmax_zero_is_an_input_error(capsys):
     assert code == EXIT_IO and rep is None
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--theorem", "thm31", "--count", "-1"], "count must be >= 0"),
+        (["sweep", "--theorem", "thm31", "--count", "2", "--seed", "-1"], "seed must be >= 0"),
+        (["gen", "e.json", "f.json", "--theorem", "thm31", "--n", "2", "--seed", "-3"], "seed must be >= 0"),
+    ],
+)
+def test_cmd_negative_count_or_seed_is_an_input_error(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_IO and not captured.out
+    assert message in captured.err
+    assert not (tmp_path / "e.json").exists()
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
 def test_cmd_block_bad_tol_is_an_input_error_for_every_id(capsys, tol):
     # thm23's first clause needs no Drazin datum, so tol = -1 was judged and

@@ -211,6 +211,11 @@ def test_infeasible_recipes():
         generate(GeneratorRecipe("thm31", 0, 0))
 
 
+def test_negative_seed_names_the_recipe():
+    with pytest.raises(ValueError, match=r"recipe thm31 n=2: seed must be >= 0, got -1"):
+        generate(GeneratorRecipe("thm31", 2, -1))
+
+
 def test_violated_existence_clause_matches_oracle_index():
     from antitri import assemble, index_of
 

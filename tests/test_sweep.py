@@ -69,3 +69,15 @@ def test_nmax_below_one_is_rejected(deadline):
             run_sweep("thm31", count=2, nmax=nmax)
         with pytest.raises(ValueError, match="nmax"):
             existence_sweep("thm31", count=2, nmax=nmax)
+
+
+def test_negative_count_or_seed_is_rejected(deadline):
+    # count = -1 used to surface islice's "Stop argument ..." message and a
+    # negative seed numpy's bare "expected non-negative integer"
+    assert run_sweep("thm31", count=0).records == ()
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        run_sweep("thm31", count=-1)
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        existence_sweep("thm31", count=-1)
+    with pytest.raises(ValueError, match="thm31 .*seed must be >= 0"):
+        run_sweep("thm31", count=2, seed=-1)
