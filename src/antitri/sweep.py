@@ -77,12 +77,15 @@ def run_sweep(
     Each instance costs one Drazin inverse of the assembled M: in
     :func:`compare` when the formula returns blocks, in
     :func:`oracle_has_group_inverse` otherwise; either gives the
-    recorded ``oracle_index``.  An unknown id raises KeyError, count < 0
-    or nmax < 1 raises ValueError, and a recipe that no dimension can
-    meet raises InfeasibleRecipeError.
+    recorded ``oracle_index``.  An unknown id raises KeyError, count < 0,
+    nmax < 1 or seed < 0 raises ValueError (for thm41 too, whose first
+    instance is not generated), and a recipe that no dimension can meet
+    raises InfeasibleRecipeError.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if nmax < 1:
         raise ValueError(f"nmax must be >= 1, got {nmax}")
     group = REGISTRY[theorem_id].kind is InverseKind.GROUP

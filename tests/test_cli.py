@@ -221,6 +221,7 @@ def test_cmd_sweep_nmax_zero_is_an_input_error(capsys):
     [
         (["sweep", "--theorem", "thm31", "--count", "-1"], "count must be >= 0"),
         (["sweep", "--theorem", "thm31", "--count", "2", "--seed", "-1"], "seed must be >= 0"),
+        (["sweep", "--theorem", "thm41", "--count", "2", "--seed", "-1"], "seed must be >= 0"),
         (["gen", "e.json", "f.json", "--theorem", "thm31", "--n", "2", "--seed", "-3"], "seed must be >= 0"),
     ],
 )
