@@ -23,10 +23,12 @@ Each formula computes one route.  The base theorems (thm23, thm31,
 thm41) evaluate their printed blocks; the transpose duals (thm33,
 cor42) transpose their base result, the similarity corollaries (cor32,
 cor34) conjugate it, and cor35, cor43, cor44 hand over to thm33, thm41
-or cor42.  thm25, cor26 and thm27 take the 2n x 2n constructive route,
+or cor42.  thm25, cor26 and thm27 take the constructive route M = P + Q,
 because the printed n x n recipe of Theorem 2.5 is misprinted (see the
-README's Errata).  The printed displays are pinned against these routes
-by the tests, not recomputed here.
+README's Errata): Q^d from the n x n symbols S, lam, sig, g, d, X, Y, Z
+of ``_anti_triangular``, P^pi = diag(F^pi, F^pi) exactly, and only the
+outer additive split in 2n x 2n, summed by Horner.  The printed displays
+are pinned against these routes by the tests, not recomputed here.
 
 Every series is truncated at a proven vanishing point (any term
 containing X^i X^pi dies once i >= ind(X)); indices are computed once
@@ -457,39 +459,28 @@ def thm23(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult
     )
 
 
-def _q_series(alpha, beta, gamma, alpha_d, m_cap: int):
-    """eps, zeta, eta, theta of Q = alpha + beta + gamma; their sum is Q^d.
-
-    The inner series is cut after m_cap + 1 terms.
-    """
-    ident = identity(alpha.shape[0])
-    bc = beta @ gamma
-    lam = sig = gam = delt = zeros(*alpha.shape)  # rebound, never written in place
-    lead = ident + bc @ alpha_d @ alpha_d
-    bci = ident
-    for i in range(m_cap + 1):
-        ad_odd = matrix_power(alpha_d, 2 * i + 1)
-        lam = lam + lead @ ad_odd @ bci
-        sig = sig + lead @ ad_odd @ alpha_d @ bci
-        gam = gam + bc @ ad_odd @ alpha_d @ bci
-        delt = delt + bc @ ad_odd @ alpha_d @ alpha_d @ bci
-        bci = bci @ bc
-    eps = (alpha @ lam + gam) @ lam + (alpha @ sig + delt) @ gam
-    zeta = (alpha @ lam + gam) @ sig @ beta + (alpha @ sig + delt) @ delt @ beta
-    eta = gamma @ lam @ lam + gamma @ sig @ gam
-    theta = gamma @ lam @ sig @ beta + gamma @ sig @ delt @ beta
-    return eps, zeta, eta, theta
-
-
 def _anti_triangular(d: _DrazinData, theorem_id: str) -> BlockResult:
     """Shared engine of thm25, cor26 and thm27: E F E F^pi = F^2 E F^pi = 0.
 
-    Computes the inverse along the constructive route: split M = P + Q
-    by the idempotent p = diag(F^pi, 0), with P the group-invertible
-    summand (closed-form inverse) and Q handled through the nilpotent
-    series; then M^d = Q^d P^pi + Q^pi P^d + sum_{i>=1} Q^i Q^pi (P^d)^(i+1).
-    Q is built from the n x n symbols alpha = E F^pi,
-    beta = F^pi E F F^d + F^pi and gamma = F F^pi, embedded in 2n x 2n.
+    Splits M = P + Q along the idempotent diag(F^pi, 0): P is the
+    group-invertible summand, with P^pi = diag(F^pi, F^pi) exactly, and
+    Q = [[alpha + b1, F^pi], [gamma, 0]] with alpha = E F^pi,
+    b1 = F^pi E F F^d and gamma = F F^pi.  Q^d comes from n x n symbols:
+    with c = F^pi gamma and S = sum_{i <= m} (alpha^d)^(2i+1) c^i (by
+    Horner, in the form S <- alpha^d + (alpha^d)^2 S c),
+
+        lam = S + c (alpha^d)^2 S,       sig = alpha^d S + c (alpha^d)^3 S,
+        g = c alpha^d S,                 d = c (alpha^d)^2 S,
+        X = (alpha lam + g) sig + (alpha sig + d) d,
+        Y = lam lam + sig g,             Z = lam sig + sig d,
+
+    Q^d = [[(alpha lam + g) lam + (alpha sig + d) g + X b1, X F^pi],
+           [gamma Y + gamma Z b1, gamma Z F^pi]].  The outer split
+    M^d = Q^d P^pi + Q^pi P^d + sum_{i=1..k} Q^i Q^pi (P^d)^(i+1) is the
+    one 2n x 2n step, summed by Horner as Q^d P^pi + H P^d with H = Q^pi
+    taken k times through H <- Q^pi + Q H P^d.  The caps are
+    m = ind(F), since c^i = F^i F^pi = 0 for i >= ind F, and
+    k = ind(alpha) + 2 ind(F).
     """
     e, f = d.e, d.f
     n = e.shape[0]
@@ -502,39 +493,37 @@ def _anti_triangular(d: _DrazinData, theorem_id: str) -> BlockResult:
     if _judge(d, "EFpi").passed:
         alpha = zeros(n, n)  # sub-threshold residue is an exact zero in the algebra
     ra = drazin(alpha, d.tol)
+    m_cap, k_cap = ind_f, ra.index + 2 * ind_f
 
-    m_cap = ind_f  # inner series cut: (F F^pi)^i = F^i F^pi = 0 for i >= ind F
-    k_cap = ra.index + 2 * ind_f  # outer series cut
+    ad, gamma = ra.drazin, f @ fpi
+    c = fpi @ gamma  # = gamma, but without the rounding residue that a large alpha^d amplifies
+    ad2 = ad @ ad
+    s = ad
+    for _ in range(m_cap):
+        s = ad + ad2 @ s @ c
+    ads = ad @ s
+    g = c @ ads
+    dd = c @ (ad @ ads)
+    lam = s + dd
+    sig = ads + c @ (ad2 @ ads)
+    al, asd = alpha @ lam + g, alpha @ sig + dd
+    x = al @ sig + asd @ dd
+    gz = gamma @ (lam @ sig + sig @ dd)
+    b1 = fpi @ e @ ffd
+    qd = block2x2(
+        al @ lam + asd @ g + x @ b1, x @ fpi, gamma @ (lam @ lam + sig @ g) + gz @ b1, gz @ fpi
+    )
 
     z = zeros(n, n)
-    al2 = block2x2(alpha, z, z, z)
-    be2 = block2x2(fpi @ e @ ffd, fpi, z, z)
-    ga2 = block2x2(z, z, f @ fpi, z)
-    big_p = block2x2(ffd @ e, ffd, f @ ffd, z)
-    big_pd = block2x2(z, fd, ffd, -ffd @ e @ fd)
-    al2_d = block2x2(ra.drazin, z, z, z)
-    i2 = identity(2 * n)
-
-    eps2, zeta2, eta2, theta2 = _q_series(al2, be2, ga2, al2_d, m_cap)
-
-    q2 = al2 + be2 + ga2
-    qd2 = eps2 + zeta2 + eta2 + theta2
-    qpi2 = i2 - q2 @ qd2
-    ppi2 = i2 - big_p @ big_pd
-    md = qd2 @ ppi2 + qpi2 @ big_pd
-    qi = q2
-    pd_pow = big_pd @ big_pd
-    for i in range(1, k_cap + 1):
-        md = md + qi @ qpi2 @ pd_pow
-        qi = qi @ q2
-        pd_pow = pd_pow @ big_pd
-
-    tl, tr, bl, br = split2x2(md, n, n)
+    q = block2x2(alpha + b1, fpi, gamma, z)
+    pd = block2x2(z, fd, ffd, -ffd @ e @ fd)
+    qpi = identity(2 * n) - q @ qd
+    h = qpi
+    for _ in range(k_cap):
+        h = qpi + q @ h @ pd
+    md = qd @ block2x2(fpi, z, z, fpi) + h @ pd
     return BlockResult(
-        tl=tl,
-        tr=tr,
-        bl=bl,
-        br=br,
+        *split2x2(md, n, n),
         kind=REGISTRY[theorem_id].kind,
         pattern=Pattern.EI_F0,
         truncation={"k": k_cap, "m": m_cap},
@@ -563,11 +552,11 @@ def cor26(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult
     base = _anti_triangular(_DrazinData(e, f, tol), "cor26")
     n = e.shape[0]
     nd = base.assemble()
-    left = block2x2(e, identity(n), identity(n), zeros(n, n))
-    right = block2x2(identity(n), zeros(n, n), zeros(n, n), f)
-    md = left @ nd @ nd @ right
-    tl, tr, bl, br = split2x2(md, n, n)
-    return replace(base, tl=tl, tr=tr, bl=bl, br=br, pattern=Pattern.EF_I0)
+    nd2 = nd @ nd
+    top = e @ nd2[:n] + nd2[n:]  # the row [E, I] times (N^d)^2
+    return replace(
+        base, tl=top[:, :n], tr=top[:, n:] @ f, bl=nd2[:n, :n], br=nd2[:n, n:] @ f, pattern=Pattern.EF_I0
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +728,9 @@ def cor43_group(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> Group
     (F E F^pi = 0 or F^pi E F = 0) is accepted, and which one held is
     recorded in diagnostics.  The F^pi E F family takes the transposed
     machinery of :func:`cor42_group`; both families are certified against
-    the oracle (see the sweep tests and the family arbitration test).
+    the oracle (see the sweep tests and the family arbitration test).  If
+    the delegated existence clause fails all the same, E E^pi is not 0 to
+    working precision, and HypothesisError names EEpi and that clause.
     """
     return _cor43(_DrazinData(e, f, tol))
 
@@ -749,7 +740,15 @@ def _cor43(d: _DrazinData) -> GroupFormulaBlocks:
     fefpi, fpief = _judge(d, "FEFpi").passed, _judge(d, "FpiEF").passed
     # only the transposed machinery is sound for the F^pi E F family
     out = _thm41(d) if fefpi else _cor42(d)
-    assert isinstance(out, GroupFormulaBlocks)  # existence is automatic: E E^pi = 0
+    if isinstance(out, NoGroupInverse):  # E E^pi = 0 makes existence automatic, so EEpi fails
+        eepi = _judge(d, "EEpi")
+        raise HypothesisError(
+            f"cor43: hypothesis EEpi fails (residual {eepi.residual:.3e}, threshold "
+            f"{eepi.threshold:.3e}): ind E = {d.E.index}, but delegated clause "
+            f"{', '.join(out.failed)} fails",
+            {"EEpi": eepi.residual, **out.residuals},
+            "EEpi",
+        )
     family = "both" if fefpi and fpief else "FEFpi" if fefpi else "FpiEF"
     return replace(out, diagnostics={"hypothesis_family": family})
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from antitri import matrix, zeros
+from antitri import GeneratorRecipe, generate, matrix, zeros
 from antitri.cli import (
     EXIT_FAIL,
     EXIT_IO,
@@ -98,6 +98,21 @@ def test_cmd_block_hypothesis_failure(tmp_path, capsys):
     code, rep = run_cli(capsys, "block", str(e), str(f), "--theorem", "thm31")
     assert code == EXIT_FAIL
     assert "hypothesis" in rep["error"]
+
+
+def test_cmd_block_cor43_delegated_clause_failure_is_a_hypothesis_report(tmp_path, capsys):
+    # cor43 seed 18 under D = diag(2^-10, 2^10): EEpi passes by index but
+    # the delegated cor42 clause FpiEpiE fails; exit 1 with a report, no traceback
+    pair = generate(GeneratorRecipe("cor43", 2, 18))
+    d, d_inv = np.diag([2.0**-10, 2.0**10]), np.diag([2.0**10, 2.0**-10])
+    e, f = tmp_path / "e.json", tmp_path / "f.json"
+    write_matrix(str(e), d @ pair.E @ d_inv)
+    write_matrix(str(f), d @ pair.F @ d_inv)
+    code, rep = run_cli(capsys, "block", str(e), str(f), "--theorem", "cor43")
+    assert code == EXIT_FAIL
+    assert rep["error"]["hypothesis"].startswith("cor43: hypothesis EEpi fails")
+    assert "FpiEpiE" in rep["error"]["hypothesis"]
+    assert set(rep["error"]["residuals"]) >= {"EEpi", "FpiEpiE"}
 
 
 def test_cmd_block_no_group_outcome(tmp_path, capsys):

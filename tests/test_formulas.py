@@ -1,3 +1,8 @@
+import ast
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,7 @@ from antitri import (
     HypothesisError,
     NoGroupInverse,
     Pattern,
+    apply_formula,
     assemble,
     cline,
     compare,
@@ -37,8 +43,8 @@ from antitri import (
     thm41_group,
     zeros,
 )
-from antitri.core import block2x2
-from antitri.formulas import _q_series
+from antitri.core import DEFAULT_TOL, block2x2
+from antitri.formulas import _DrazinData, _gate, _judge
 from conftest import assert_close, jordan_nilpotent, random_complex, rel_err, unimodular_pair
 
 E45 = matrix([[1, 2], [0, -1]])
@@ -167,6 +173,78 @@ def cor42_display(e, f, swapped=False):
         fs - fs2 @ e @ fs2 @ e @ fpiepi @ f - fs2 @ e @ fpied @ f
     )
     return block2x2(gamma, lam, delta, xi) if swapped else block2x2(gamma, delta, lam, xi)
+
+
+def _q_series(alpha, beta, gamma, alpha_d, m_cap: int):
+    """eps, zeta, eta, theta of Q = alpha + beta + gamma; their sum is Q^d.
+
+    The inner series is cut after m_cap + 1 terms.
+    """
+    ident = identity(alpha.shape[0])
+    bc = beta @ gamma
+    lam = sig = gam = delt = zeros(*alpha.shape)  # rebound, never written in place
+    lead = ident + bc @ alpha_d @ alpha_d
+    bci = ident
+    for i in range(m_cap + 1):
+        ad_odd = matrix_power(alpha_d, 2 * i + 1)
+        lam = lam + lead @ ad_odd @ bci
+        sig = sig + lead @ ad_odd @ alpha_d @ bci
+        gam = gam + bc @ ad_odd @ alpha_d @ bci
+        delt = delt + bc @ ad_odd @ alpha_d @ alpha_d @ bci
+        bci = bci @ bc
+    eps = (alpha @ lam + gam) @ lam + (alpha @ sig + delt) @ gam
+    zeta = (alpha @ lam + gam) @ sig @ beta + (alpha @ sig + delt) @ delt @ beta
+    eta = gamma @ lam @ lam + gamma @ sig @ gam
+    theta = gamma @ lam @ sig @ beta + gamma @ sig @ delt @ beta
+    return eps, zeta, eta, theta
+
+
+def thm25_constructive_2n(d, theorem_id):
+    """Theorem 2.5 along the 2n x 2n constructive route, returning (M^d, truncation).
+
+    The symbols alpha = E F^pi, beta = F^pi E F F^d + F^pi and
+    gamma = F F^pi are embedded in 2n x 2n, Q^d is the sum of the
+    ``_q_series`` corners, and M^d = Q^d P^pi + Q^pi P^d +
+    sum_{i>=1} Q^i Q^pi (P^d)^(i+1) with P^pi = I - P P^d, term by term.
+    """
+    e, f = d.e, d.f
+    n = e.shape[0]
+    _gate(d, theorem_id)
+    rf = d.F
+    fd, fpi, ind_f = rf.drazin, rf.idempotent, rf.index
+    ffd = f @ fd
+
+    alpha = e @ fpi
+    if _judge(d, "EFpi").passed:
+        alpha = zeros(n, n)  # sub-threshold residue is an exact zero in the algebra
+    ra = drazin(alpha, d.tol)
+
+    m_cap = ind_f  # inner series cut: (F F^pi)^i = F^i F^pi = 0 for i >= ind F
+    k_cap = ra.index + 2 * ind_f  # outer series cut
+
+    z = zeros(n, n)
+    al2 = block2x2(alpha, z, z, z)
+    be2 = block2x2(fpi @ e @ ffd, fpi, z, z)
+    ga2 = block2x2(z, z, f @ fpi, z)
+    big_p = block2x2(ffd @ e, ffd, f @ ffd, z)
+    big_pd = block2x2(z, fd, ffd, -ffd @ e @ fd)
+    al2_d = block2x2(ra.drazin, z, z, z)
+    i2 = identity(2 * n)
+
+    eps2, zeta2, eta2, theta2 = _q_series(al2, be2, ga2, al2_d, m_cap)
+
+    q2 = al2 + be2 + ga2
+    qd2 = eps2 + zeta2 + eta2 + theta2
+    qpi2 = i2 - q2 @ qd2
+    ppi2 = i2 - big_p @ big_pd
+    md = qd2 @ ppi2 + qpi2 @ big_pd
+    qi = q2
+    pd_pow = big_pd @ big_pd
+    for i in range(1, k_cap + 1):
+        md = md + qi @ qpi2 @ pd_pow
+        qi = qi @ q2
+        pd_pow = pd_pow @ big_pd
+    return md, {"k": k_cap, "m": m_cap}
 
 
 def thm25_statement(e, f):
@@ -403,6 +481,32 @@ def test_thm27_equals_thm25():
         assert rel_err(r27.assemble(), r25.assemble()) <= 1e-12
         assert r27.truncation == r25.truncation
         assert r27.kind.value == "Drazin" and r25.kind.value == "gDrazin"
+
+
+def test_theorem25_engine_matches_2n_route():
+    # the n x n engine against the 2n x 2n route it replaced; cor26 against
+    # that route's transfer [[E, I], [I, 0]] (N^d)^2 [[I, 0], [0, F]]
+    for tid in ("thm25", "cor26", "thm27"):
+        for seed in range(200):
+            pair = generate(GeneratorRecipe(tid, 1 + seed % 4, seed))
+            res = apply_formula(tid, pair.E, pair.F)
+            want, truncation = thm25_constructive_2n(_DrazinData(pair.E, pair.F, DEFAULT_TOL), tid)
+            if tid == "cor26":
+                n = pair.E.shape[0]
+                left = block2x2(pair.E, identity(n), identity(n), zeros(n, n))
+                right = block2x2(identity(n), zeros(n, n), zeros(n, n), pair.F)
+                want = left @ want @ want @ right
+            assert res.truncation == truncation, (tid, seed)
+            assert rel_err(res.assemble(), want) <= 1e-9, (tid, seed)
+
+
+def test_theorem25_engine_tracks_2n_route_when_alpha_d_is_large():
+    # here drazin(E F^pi) keeps rounding residue as core, so |alpha^D| = 3.2e9;
+    # the series runs on c = F^pi gamma, as the 2n route does: on gamma itself
+    # (alpha^D)^5 times the residue 2.7e-19 of gamma^2 inflated the blocks 1e60-fold
+    pair = generate(GeneratorRecipe("thm25", 4, 1205943267))
+    want, _ = thm25_constructive_2n(_DrazinData(pair.E, pair.F, DEFAULT_TOL), "thm25")
+    assert rel_err(thm25(pair.E, pair.F).assemble(), want) <= 1e-3
 
 
 def test_thm27_reported_caps():
@@ -697,6 +801,38 @@ def test_cor43_requires_group_blocks():
         cor43_group(identity(2), jordan_nilpotent(2))
 
 
+# cor43 seed 18 under the diagonal similarity D = diag(2^-10, 2^10)
+COR43_AT_SCALE = """
+import numpy as np
+from antitri import GeneratorRecipe, HypothesisError, cor43_group, cor44_group, generate
+p = generate(GeneratorRecipe("cor43", 2, 18))
+d, d_inv = np.diag([2.0**-10, 2.0**10]), np.diag([2.0**10, 2.0**-10])
+e, f = d @ p.E @ d_inv, d @ p.F @ d_inv
+for body in (cor43_group, cor44_group):
+    try:
+        print(body(e, f))
+    except HypothesisError as err:
+        print(err.clause, err.residuals["EEpi"] > 1e6, err)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_cor43_refuses_when_a_delegated_clause_fails(flags):
+    # EEpi passes by index (ind E = 1) while its residual reads 3.0e6
+    # against a threshold of 561, and the delegated cor42 clause FpiEpiE
+    # fails; the refusal must not depend on an assert, which -O removes
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", COR43_AT_SCALE], capture_output=True, text=True, check=True
+    )
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2, proc.stdout
+    for line in lines:
+        assert line.startswith(
+            "EEpi True cor43: hypothesis EEpi fails (residual 2.994e+06, threshold 5.606e+02)"
+        ), line
+        assert line.endswith("delegated clause FpiEpiE fails"), line
+
+
 def test_blockpair_shape_validation():
     from antitri import ShapeError
 
@@ -824,6 +960,18 @@ def test_public_names_resolve():
 
     for name in antitri.__all__:
         assert hasattr(antitri, name), name
+
+
+def test_library_has_no_assert():
+    # behaviour must not change under python -O, which strips asserts
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "antitri"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
