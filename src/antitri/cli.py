@@ -347,7 +347,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError) as err:  # ShapeError is a ValueError
+    except (InputError, ValueError, OverflowError) as err:  # ShapeError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
 

@@ -7,17 +7,29 @@ decisions, and linear solves.  Matrices are plain ``numpy.ndarray``
 objects with dtype ``complex128``; :func:`matrix` is the validating
 constructor that rejects non-finite entries.
 
-Rank decisions use Gaussian elimination with complete pivoting and a
-threshold relative to the largest pivot (default ``1e-10``); solves and
-inverses are LAPACK LU (``numpy.linalg.solve``/``inv``), run once it
-has certified full rank.  No eigen/SVD anywhere.
+Rank decisions use Gaussian elimination with complete pivoting (GECP)
+and a threshold relative to the largest pivot (default ``1e-10``);
+solves and inverses are LAPACK LU (``numpy.linalg.solve``/``inv``), run
+once it has certified full rank.  No eigen/SVD anywhere.
+
+The elimination never swaps rows or columns.  Its work matrix W stays
+in the input's order; step k takes the largest |W[i, j]| = |p| over all
+of W, copies row i into row k of ``right``, writes W[:, j] / p (with 1
+at row i) into column k of ``left``, subtracts their outer product,
+which leaves row i exactly zero, and zeros column j.  So ``left`` and
+``right`` come out of the elimination in the input's order, as the
+full-rank factors.  A tie for the largest modulus is broken as a
+swapping GECP breaks it, by the first entry in its permuted rows and
+columns, replayed from the pivots so far; the factors equal that
+kernel's value for value.  ``left`` is C-contiguous (copied when the
+rank is short), because ``right @ left`` rounds differently on a
+strided slice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -92,47 +104,20 @@ def matrix_power(a: np.ndarray, k: int) -> np.ndarray:
     return result
 
 
-@lru_cache(maxsize=256)
-def _below(n: int, m: int) -> np.ndarray:
-    """np.tri(n, m, -1, dtype=bool), kept: the mask np.tril and np.triu rebuild on every call."""
-    mask = np.tri(n, m, -1, dtype=bool)
-    mask.flags.writeable = False
-    return mask
-
-
 @dataclass(frozen=True)
 class RankFactorization:
     """Full-rank factorization a ~ left @ right.
 
     ``left`` is n x r of full column rank, ``right`` is r x m of full
     row rank; ``rank`` is the numerical rank decided at
-    ``tolerance_used``.  Rank 0 yields empty factors.  Only the pivoted
-    elimination that decided the rank is kept: ``left`` and ``right``
-    are built from it on first read, so a caller that needs only the
-    rank or :meth:`inverse` never builds them.
+    ``tolerance_used``.  Rank 0 yields empty factors.
     """
 
     rank: int
     tolerance_used: float
-    _elimination: tuple = field(repr=False, compare=False)  # (lu, prow, pcol)
+    left: np.ndarray = field(repr=False, compare=False)
+    right: np.ndarray = field(repr=False, compare=False)
     _matrix: np.ndarray = field(repr=False, compare=False)  # private copy of a
-
-    @cached_property
-    def left(self) -> np.ndarray:
-        # PAQ = LU  =>  A = (P^T L)(U Q^T); undo the row permutation.
-        lu, prow, _ = self._elimination
-        n, r = lu.shape[0], self.rank
-        lower = np.where(_below(n, r), lu[:, :r], 0)  # np.tril(lu[:, :r], -1)
-        np.fill_diagonal(lower, 1.0)
-        return lower[np.argsort(prow)]
-
-    @cached_property
-    def right(self) -> np.ndarray:
-        lu, _, pcol = self._elimination
-        r, m = self.rank, lu.shape[1]
-        right = np.empty((r, m), dtype=np.complex128)
-        right[:, pcol] = np.where(_below(r, m), 0, lu[:r])  # np.triu(lu[:r])
-        return right
 
     def inverse(self) -> np.ndarray:
         """a^-1 of the factored a by LAPACK ``inv``, bit for bit ``np.linalg.solve(a, I)``."""
@@ -154,48 +139,62 @@ class RankFactorization:
 
 
 def _eliminate(a: np.ndarray, tol: float, floor: float = 0.0):
-    """Complete-pivoting Gaussian elimination.
+    """Swap-free GECP (see the module docstring): (left, right, rank) with a ~ left @ right.
 
-    Returns (lu, row_perm, col_perm, rank).  ``lu`` holds the unit
-    lower-triangular multipliers below the diagonal and U on/above it,
-    in permuted order.  The rank is the number of pivots whose modulus
-    exceeds max(tol * |largest pivot|, floor); the absolute ``floor``
-    lets callers carry one scale through a chain of rank decisions so
-    that noise-level residue is never mistaken for rank.
+    The rank counts the pivots whose modulus exceeds max(tol * |largest
+    pivot|, floor); the absolute ``floor`` lets callers carry one scale
+    through a chain of rank decisions so that noise-level residue is
+    never mistaken for rank.
     """
-    lu = np.array(a, dtype=np.complex128, copy=True)
-    n, m = lu.shape
-    prow = list(range(n))
-    pcol = list(range(m))
-    rank = 0
-    for k in range(min(n, m)):
-        sub = np.abs(lu[k:, k:])
-        flat = int(sub.argmax())
-        piv = sub.item(flat)
+    w = np.array(a, dtype=np.complex128, copy=True)
+    n, m = w.shape
+    steps = min(n, m)
+    left = np.zeros((n, steps), dtype=np.complex128)
+    right = np.zeros((steps, m), dtype=np.complex128)
+    mag = np.empty((n, m))
+    backwards = mag.reshape(-1)[::-1]
+    outer = np.empty_like(w)
+    pivots = []
+    for k in range(steps):
+        np.abs(w, mag)
+        flat = int(mag.argmax())
+        piv = mag.item(flat)
         if k == 0:
             cut = max(tol * piv, floor)
         if piv <= cut or piv == 0.0:
             break
-        i, j = divmod(flat, m - k)
-        i += k
-        j += k
-        if i != k:  # plain copies: fancy-index swaps build index lists and temporaries
-            row = lu[k].copy()
-            lu[k] = lu[i]
-            lu[i] = row
-            prow[k], prow[i] = prow[i], prow[k]
-        if j != k:
-            col = lu[:, k].copy()
-            lu[:, k] = lu[:, j]
-            lu[:, j] = col
-            pcol[k], pcol[j] = pcol[j], pcol[k]
-        rank += 1
-        if k + 1 < n:
-            col = lu[k + 1:, k]
-            col /= lu[k, k]
-            # np.outer without its wrapper; the copy is the contiguous column its ravel makes
-            lu[k + 1:, k + 1:] -= col.copy()[:, None] * lu[k, None, k + 1:]
-    return lu, np.array(prow, dtype=np.intp), np.array(pcol, dtype=np.intp), rank
+        if mag.size - 1 - int(backwards.argmax()) != flat:  # a tie for the largest modulus
+            flat = _swapped_order_argmax(mag, pivots)
+        i, j = divmod(flat, m)
+        pivots.append((i, j))
+        row = right[k]
+        row[:] = w[i]
+        col = left[:, k]
+        np.divide(w[:, j], row[j], col)
+        col[i] = 1.0
+        if k + 1 < steps:
+            np.multiply(col[:, None], row, outer)
+            w -= outer  # row i becomes exactly zero
+            w[:, j] = 0.0
+    r = len(pivots)
+    if r < steps:  # a contiguous left: right @ left rounds differently on a strided slice
+        left = left[:, :r].copy()
+    return left, right[:r], r
+
+
+def _swapped_order_argmax(mag: np.ndarray, pivots: list) -> int:
+    """Flat index of the first largest entry of ``mag``, in the row and column
+    order a swapping GECP would hold after ``pivots``."""
+    n, m = mag.shape
+    prow, pcol = list(range(n)), list(range(m))
+    for k, (i, j) in enumerate(pivots):  # step k swapped positions k and i's (j's)
+        t = prow.index(i)
+        prow[k], prow[t] = i, prow[k]
+        t = pcol.index(j)
+        pcol[k], pcol[t] = j, pcol[k]
+    prow, pcol = np.array(prow), np.array(pcol)
+    i, j = divmod(int(mag.take(prow, 0).take(pcol, 1).argmax()), m)
+    return int(prow[i]) * m + int(pcol[j])
 
 
 def rank_factorize(
@@ -207,9 +206,9 @@ def rank_factorize(
     matrix) returns empty factors and the reconstruction contract is a ~ 0.
     """
     require_tol(tol)
-    lu, prow, pcol, r = _eliminate(a, tol, floor)
+    left, right, r = _eliminate(a, tol, floor)
     copy = np.array(a, dtype=np.complex128, copy=True)
-    return RankFactorization(rank=r, tolerance_used=tol, _elimination=(lu, prow, pcol), _matrix=copy)
+    return RankFactorization(rank=r, tolerance_used=tol, left=left, right=right, _matrix=copy)
 
 
 def rank(a: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> int:

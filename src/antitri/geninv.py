@@ -20,8 +20,15 @@ whose rank equals that of the level above (rank(A^0) = n), where A_j
 is invertible and ind(A) = j, or at a level of rank 0, where A is
 nilpotent, A^D = 0 and ind(A) = j + 1.  A call at index k makes at
 most k + 1 pivoted eliminations, one per level, all through
-:func:`antitri.core.rank_factorize`.  Only singular levels build their
-factors B_j, C_j; the invertible level goes to one LAPACK ``inv``.
+:func:`antitri.core.rank_factorize`, whose elimination yields B_j and
+C_j directly; the invertible level goes to one LAPACK ``inv``.
+
+:func:`drazin` runs the recursion on A * 2^-e, with e the binary
+exponent of max|A|, and scales the result back by 2^-e, since
+(cA)^D = A^D / c.  Powers of two scale exactly, so results in the
+normal float range are the unscaled recursion's value for value, and
+the squares x @ x of the recursion neither underflow nor overflow at
+extreme scale.  An A^D beyond the float64 range raises OverflowError.
 
 The axiom residuals of a :class:`DrazinResult` are computed on first
 read.  :func:`index_of` ranks powers of A directly and stays as an
@@ -145,15 +152,33 @@ def drazin(a: np.ndarray, tol: float = DEFAULT_TOL) -> DrazinResult:
     mutually consistent; the nilpotent residue of the deepest level is
     then never mistaken for an invertible core.  NaN/Inf entries raise
     ValueError: they make max|a| non-finite, so one scan of a serves
-    both the check and the floor.
+    both the check and the floor.  The recursion runs on a * 2^-e, where
+    max|a * 2^-e| is in [1/2, 1); OverflowError when A^D has an entry
+    beyond the float64 range.
     """
     _require_square(a, "drazin")
     amax = float(np.abs(a).max()) if a.size else 0.0
     if not math.isfinite(amax):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    ad, k = _drazin_core(a, tol, tol * amax)
-    pi = identity(a.shape[0]) - a @ ad
+    mantissa, e = math.frexp(amax)
+    scaled = _times_pow2(a, -e)  # max|scaled| = mantissa in [1/2, 1), or 0
+    x, k = _drazin_core(scaled, tol, tol * mantissa)
+    xmax = float(np.abs(x).max()) if e < 0 and x.size else 0.0  # only scaling up can overflow
+    if xmax and math.frexp(xmax)[1] - e > 1024:
+        raise OverflowError(f"drazin: A^D has entries beyond the float64 range (max|A| = {amax:g})")
+    ad = _times_pow2(x, -e)  # (cA)^D = A^D / c
+    pi = identity(a.shape[0]) - scaled @ x
     return DrazinResult(drazin=ad, index=k, idempotent=pi, source=a.copy(), tol=tol)
+
+
+def _times_pow2(a: np.ndarray, k: int) -> np.ndarray:
+    """a * 2**k, exact wherever the result is a normal float.
+
+    Two steps where 2**k itself lies beyond the float range (k > 1023).
+    """
+    if k > 1023:
+        return a * math.ldexp(1.0, k - 1023) * math.ldexp(1.0, 1023)
+    return a * math.ldexp(1.0, k)
 
 
 def spectral_idempotent(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

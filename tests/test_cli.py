@@ -79,6 +79,15 @@ def test_cmd_drazin_bad_input(tmp_path, capsys):
     assert main(["drazin", str(q)]) == EXIT_IO
 
 
+def test_cmd_drazin_unrepresentable_inverse_is_an_input_error(tmp_path, capsys):
+    # A^D = 2^1072 J / 4 overflows float64; the report must not carry inf
+    p = tmp_path / "tiny.json"
+    write_matrix(str(p), matrix([[5e-324, 5e-324], [5e-324, 5e-324]]))
+    assert main(["drazin", str(p)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == "" and "float64 range" in captured.err
+
+
 def test_cmd_block_fixture_verified(capsys):
     code, rep = run_cli(
         capsys, "block", "--fixture", "example45", "--theorem", "thm41", "--verify"

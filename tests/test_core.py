@@ -174,16 +174,23 @@ def _kernel_inputs(rng):
     return out
 
 
+def _assert_reference_factors(left, right, r, a, tol, floor):
+    """Rank and factors of the swapping reference kernel, value for value; left C-contiguous."""
+    ref_left, ref_right = _reference_factors(*_reference_eliminate(a, tol, floor))
+    assert r == ref_left.shape[1]
+    assert left.shape == ref_left.shape and right.shape == ref_right.shape
+    assert left.dtype == right.dtype == np.complex128
+    assert left.flags.c_contiguous and right.flags.c_contiguous
+    assert np.array_equal(left.view(np.float64), ref_left.view(np.float64))
+    assert np.array_equal(right.view(np.float64), ref_right.view(np.float64))
+
+
 def test_eliminate_matches_fancy_index_reference_bit_for_bit(rng):
     from antitri.core import _eliminate
 
     for a, floor in _kernel_inputs(rng):
         for tol in (1e-10, 1e-3):
-            lu, prow, pcol, r = _eliminate(a, tol, floor)
-            ref_lu, ref_prow, ref_pcol, ref_r = _reference_eliminate(a, tol, floor)
-            assert r == ref_r
-            assert np.array_equal(lu.view(np.float64), ref_lu.view(np.float64))
-            assert np.array_equal(prow, ref_prow) and np.array_equal(pcol, ref_pcol)
+            _assert_reference_factors(*_eliminate(a, tol, floor), a, tol, floor)
 
 
 def test_factorization_inverse_is_invert_bit_for_bit(rng):
@@ -230,16 +237,45 @@ def test_inverse_is_lapack_solve_on_the_identity_bit_for_bit(rng):
     assert checked >= 150
 
 
-def test_eliminate_matches_reference_up_to_n32_bit_for_bit(rng):
-    from antitri.core import _eliminate
+def _large_kernel_inputs(rng):
+    """Rectangular, rank-deficient and integer-tied inputs with n, m in 9..32."""
+    for t in range(60):
+        n, m = (int(x) for x in rng.integers(9, 33, 2))
+        if t % 5 == 0:  # entries in {-1, 0, 1} + i{-1, 0, 1}
+            yield matrix(rng.integers(-1, 2, (n, m)) + 1j * rng.integers(-1, 2, (n, m)))
+        elif t % 5 == 1:  # integer product of rank <= r
+            r = int(rng.integers(1, min(n, m)))
+            yield matrix(rng.integers(-1, 2, (n, r)) @ rng.integers(-1, 2, (r, m)))
+        elif t % 5 == 2:  # sparse integers: the entries stay tied for many steps
+            yield matrix(rng.integers(-1, 2, (n, m)) * (rng.random((n, m)) < 0.15))
+        elif t % 5 == 3:  # unit-modulus entries at scattered positions: a tie at every step
+            a = zeros(n, m)
+            rows, cols = rng.permutation(n), rng.permutation(m)
+            k = min(n, m) - int(rng.integers(0, 3))
+            a[rows[:k], cols[:k]] = np.exp(2j * np.pi * rng.integers(0, 8, k) / 8)
+            yield a
+        else:
+            yield random_complex(rng, n, m)
 
-    for a in _lapack_inputs(rng):
+
+def test_eliminate_matches_reference_up_to_n32_bit_for_bit(rng, monkeypatch):
+    import antitri.core as core
+
+    replays = []  # pivots taken before each tie was broken
+    real = core._swapped_order_argmax
+
+    def recorded(mag, pivots):
+        replays.append(len(pivots))
+        return real(mag, pivots)
+
+    monkeypatch.setattr(core, "_swapped_order_argmax", recorded)
+    for a in [*_lapack_inputs(rng), *_large_kernel_inputs(rng)]:
         for tol, floor in ((1e-10, 0.0), (1e-3, 1e-10 * float(np.max(np.abs(a))))):
-            lu, prow, pcol, r = _eliminate(a, tol, floor)
-            ref_lu, ref_prow, ref_pcol, ref_r = _reference_eliminate(a, tol, floor)
-            assert r == ref_r
-            assert np.array_equal(lu.view(np.float64), ref_lu.view(np.float64))
-            assert np.array_equal(prow, ref_prow) and np.array_equal(pcol, ref_pcol)
+            _assert_reference_factors(*core._eliminate(a, tol, floor), a, tol, floor)
+    assert len(replays) >= 500 and max(replays) >= 16
+    replays.clear()
+    core._eliminate(matrix([[1j, 1j], [0, 0]]), 1e-10)  # example 4.5's F: |1j| twice in row 0
+    assert replays == [0]
 
 
 def _reference_factors(lu, prow, pcol, r):
@@ -254,17 +290,11 @@ def _reference_factors(lu, prow, pcol, r):
     return left, right
 
 
-def test_lazy_factors_match_tril_triu_reference_bit_for_bit(rng):
+def test_factors_match_tril_triu_reference_bit_for_bit(rng):
     for a, floor in _kernel_inputs(rng):
         for tol in (1e-10, 1e-3):
             f = rank_factorize(a, tol, floor)
-            assert "left" not in f.__dict__ and "right" not in f.__dict__
-            left, right = _reference_factors(*f._elimination, f.rank)
-            assert f._elimination[1].dtype == f._elimination[2].dtype == np.intp
-            assert f.left.shape == left.shape and f.right.shape == right.shape
-            assert np.array_equal(f.left.view(np.float64), left.view(np.float64))
-            assert np.array_equal(f.right.view(np.float64), right.view(np.float64))
-            assert f.left is f.left and f.right is f.right
+            _assert_reference_factors(f.left, f.right, f.rank, a, tol, floor)
 
 
 def test_solve_vector_right_hand_side():

@@ -163,33 +163,6 @@ def test_drazin_work_per_call(rng, monkeypatch):
         assert r.residuals is residuals and calls["verify_drazin_axioms"] == 1
 
 
-def test_drazin_builds_factors_only_at_singular_levels(rng, monkeypatch):
-    # the invertible level needs only the rank and the inverse: no left/right
-    import antitri.geninv as geninv
-
-    made = []
-    real = geninv.rank_factorize
-
-    def recorded(*args, **kwargs):
-        made.append(real(*args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(geninv, "rank_factorize", recorded)
-    for a in (identity(3), diag(2, 3), well_conditioned(rng, 5)):
-        made.clear()
-        assert drazin(a).index == 0
-        assert len(made) == 1 and "left" not in made[0].__dict__
-        assert "right" not in made[0].__dict__
-    cases = [zeros(3, 3), jordan_nilpotent(4), F45]
-    cases += [_instance_mix(rng, int(rng.integers(1, 9))) for _ in range(40)]
-    for a in cases:
-        made.clear()
-        r = drazin(a)
-        built = [("left" in f.__dict__, "right" in f.__dict__) for f in made]
-        nilpotent = made[-1].rank == 0  # a rank-0 level ends the recursion at A^D = 0
-        assert built == [(True, True)] * (r.index - nilpotent) + [(False, False)]
-
-
 def test_double_inverse_property(rng):
     for _ in range(60):
         n = int(rng.integers(1, 9))
@@ -241,6 +214,46 @@ def test_drazin_noise_floor_regression():
     assert frobenius_norm(r.drazin) < 10.0
     assert_close(r.drazin, matrix([[1, 0], [0, 0]]), 1e-12)
     assert r.index == 1
+
+
+J = matrix([[1, 1], [1, 1]])  # J^2 = 2J, so J^D = J / 4
+
+
+def test_drazin_is_exact_at_every_power_of_two_scale():
+    # the recursion squares its inner inverse: unnormalized, 2^665 J gave
+    # A^D = 0 (the square underflowed) and 2^-665 J overflowed to inf
+    for k in range(-1000, 1001, 50):
+        r = drazin(2.0**k * J)
+        assert r.index == 1
+        assert np.array_equal(r.drazin, 2.0**-k * J / 4)
+        assert np.array_equal(r.idempotent, identity(2) - J / 2)
+    assert_close(drazin(1e200 * J).drazin * 1e200, J / 4, 1e-15)
+    assert_close(drazin(1e-200 * J).drazin * 1e-200, J / 4, 1e-15)
+
+
+def test_drazin_refuses_an_unrepresentable_inverse():
+    # A^D = 2^1072 J / 4 and 2^1024 lie beyond the float64 range
+    for a in (5e-324 * J, matrix([[2.0**-1024]])):
+        with pytest.raises(OverflowError, match="float64 range"):
+            drazin(a)
+    assert np.array_equal(drazin(matrix([[2.0**-1023]])).drazin, matrix([[2.0**1023]]))
+    r = drazin(5e-324 * jordan_nilpotent(2))  # nilpotent: A^D = 0 at any scale
+    assert r.index == 2 and np.array_equal(r.drazin, zeros(2, 2))
+
+
+def test_power_of_two_normalization_is_exact(rng):
+    # normalizing max|A| into [1/2, 1) rescales every step of the recursion
+    # exactly, so in the normal range it returns the unnormalized result
+    from antitri.geninv import _drazin_core
+
+    for _ in range(120):
+        base = _instance_mix(rng, int(rng.integers(1, 9)))
+        for scale in (1.0, 1e-6, 1e6, 3.0):
+            a = base * scale
+            r = drazin(a)
+            x, k = _drazin_core(a, 1e-10, 1e-10 * float(np.abs(a).max()))
+            assert r.index == k and np.array_equal(r.drazin, x)
+            assert np.array_equal(r.idempotent, identity(a.shape[0]) - a @ x)
 
 
 def test_group_existence_rank_criterion():
