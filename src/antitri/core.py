@@ -18,12 +18,10 @@ of W, copies row i into row k of ``right``, writes W[:, j] / p (with 1
 at row i) into column k of ``left``, subtracts their outer product,
 which leaves row i exactly zero, and zeros column j.  So ``left`` and
 ``right`` come out of the elimination in the input's order, as the
-full-rank factors.  A tie for the largest modulus is broken as a
-swapping GECP breaks it, by the first entry in its permuted rows and
-columns, replayed from the pivots so far; the factors equal that
-kernel's value for value.  ``left`` is C-contiguous (copied when the
-rank is short), because ``right @ left`` rounds differently on a
-strided slice.
+full-rank factors.  A tie for the largest modulus goes to the first
+largest entry in the input's row-major order.  ``left`` is C-contiguous
+(copied when the rank is short), because ``right @ left`` rounds
+differently on a strided slice.
 """
 
 from __future__ import annotations
@@ -82,9 +80,19 @@ def diag(*entries) -> np.ndarray:
 
 
 def frobenius_norm(a: np.ndarray) -> float:
+    """sqrt(sum |a_ij|^2), summed on a * 2^-e with e the binary exponent of max|a|.
+
+    Powers of two scale exactly, so the sum neither overflows nor, for
+    a matrix of tiny entries, underflows to 0; where the unscaled sum
+    does neither, the result is the same bits.
+    """
     if a.size == 0:
         return 0.0
-    return math.sqrt((np.abs(a) ** 2).sum())
+    mag = np.abs(a)
+    e = math.frexp(mag.max())[1]
+    np.ldexp(mag, -e, out=mag)
+    np.square(mag, out=mag)
+    return float(np.ldexp(math.sqrt(mag.sum()), e))
 
 
 def matrix_power(a: np.ndarray, k: int) -> np.ndarray:
@@ -141,6 +149,7 @@ class RankFactorization:
 def _eliminate(a: np.ndarray, tol: float, floor: float = 0.0):
     """Swap-free GECP (see the module docstring): (left, right, rank) with a ~ left @ right.
 
+    Each step pivots on the first largest |W[i, j]| in row-major order.
     The rank counts the pivots whose modulus exceeds max(tol * |largest
     pivot|, floor); the absolute ``floor`` lets callers carry one scale
     through a chain of rank decisions so that noise-level residue is
@@ -152,9 +161,8 @@ def _eliminate(a: np.ndarray, tol: float, floor: float = 0.0):
     left = np.zeros((n, steps), dtype=np.complex128)
     right = np.zeros((steps, m), dtype=np.complex128)
     mag = np.empty((n, m))
-    backwards = mag.reshape(-1)[::-1]
     outer = np.empty_like(w)
-    pivots = []
+    r = 0
     for k in range(steps):
         np.abs(w, mag)
         flat = int(mag.argmax())
@@ -163,10 +171,8 @@ def _eliminate(a: np.ndarray, tol: float, floor: float = 0.0):
             cut = max(tol * piv, floor)
         if piv <= cut or piv == 0.0:
             break
-        if mag.size - 1 - int(backwards.argmax()) != flat:  # a tie for the largest modulus
-            flat = _swapped_order_argmax(mag, pivots)
         i, j = divmod(flat, m)
-        pivots.append((i, j))
+        r += 1
         row = right[k]
         row[:] = w[i]
         col = left[:, k]
@@ -176,25 +182,9 @@ def _eliminate(a: np.ndarray, tol: float, floor: float = 0.0):
             np.multiply(col[:, None], row, outer)
             w -= outer  # row i becomes exactly zero
             w[:, j] = 0.0
-    r = len(pivots)
     if r < steps:  # a contiguous left: right @ left rounds differently on a strided slice
         left = left[:, :r].copy()
     return left, right[:r], r
-
-
-def _swapped_order_argmax(mag: np.ndarray, pivots: list) -> int:
-    """Flat index of the first largest entry of ``mag``, in the row and column
-    order a swapping GECP would hold after ``pivots``."""
-    n, m = mag.shape
-    prow, pcol = list(range(n)), list(range(m))
-    for k, (i, j) in enumerate(pivots):  # step k swapped positions k and i's (j's)
-        t = prow.index(i)
-        prow[k], prow[t] = i, prow[k]
-        t = pcol.index(j)
-        pcol[k], pcol[t] = j, pcol[k]
-    prow, pcol = np.array(prow), np.array(pcol)
-    i, j = divmod(int(mag.take(prow, 0).take(pcol, 1).argmax()), m)
-    return int(prow[i]) * m + int(pcol[j])
 
 
 def rank_factorize(

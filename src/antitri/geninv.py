@@ -210,7 +210,7 @@ def verify_drazin_axioms(
     checks = [
         ("commutation", frobenius_norm(a @ x - x @ a)),
         ("inner", frobenius_norm(x @ a @ x - x)),
-        ("eventual-power", frobenius_norm(ak @ a @ x - ak)),
+        ("eventual-power", frobenius_norm(ak @ (a @ x) - ak)),  # AX is a bounded projector
     ]
     return ConditionReport.build(
         ConditionEntry(name=name, residual=r, threshold=threshold, passed=r <= threshold)

@@ -88,6 +88,39 @@ def test_cmd_drazin_unrepresentable_inverse_is_an_input_error(tmp_path, capsys):
     assert captured.out == "" and "float64 range" in captured.err
 
 
+def test_cmd_drazin_report_is_strict_json_at_extreme_scale(tmp_path, capsys):
+    # at 1e200 J, A @ A overflowed in the eventual-power residual and the
+    # report printed NaN, which json.loads takes but strict JSON does not
+    def refuse(name):
+        raise ValueError(f"non-finite {name} in the report")
+
+    p = tmp_path / "big.json"
+    write_matrix(str(p), matrix([[1e200, 1e200], [1e200, 1e200]]))
+    assert main(["drazin", str(p)]) == EXIT_OK
+    rep = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert rep["result"]["index"] == 1
+    assert rep["result"]["drazin"]["data"][0][0] == pytest.approx([2.5e-201, 0.0])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["block", "--fixture", "example45", "--theorem", "bogus"],
+        ["gen", "e.json", "f.json", "--theorem", "thm31", "--n", "x"],
+        ["sweep", "--theorem", "bogus", "--count", "1"],
+    ],
+)
+def test_cmd_usage_error_exits_as_an_input_error(tmp_path, monkeypatch, capsys, argv):
+    # argparse exits 2 by default, which is the no-group-inverse code
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_.value.code == EXIT_IO and not captured.out
+    assert "error:" in captured.err
+    assert not (tmp_path / "e.json").exists()
+
+
 def test_cmd_block_fixture_verified(capsys):
     code, rep = run_cli(
         capsys, "block", "--fixture", "example45", "--theorem", "thm41", "--verify"

@@ -34,6 +34,13 @@ def test_frobenius_norm_examples():
     assert frobenius_norm(matrix([[3, 4j]])) == pytest.approx(5.0)
 
 
+def test_frobenius_norm_is_exact_across_the_exponent_range():
+    # squared at their own scale, 1e160 J read inf and 1e-170 J read 0.0
+    j = matrix([[1, 1], [1, 1]])
+    for k in range(-1000, 1001, 50):
+        assert frobenius_norm(2.0**k * j) == 2.0 ** (k + 1), k
+
+
 def test_matrix_power_examples():
     a = matrix([[1, 1], [0, 1]])
     assert np.array_equal(matrix_power(a, 0), identity(2))
@@ -124,8 +131,10 @@ def test_block2x2_matches_np_block_bit_for_bit(rng):
         block2x2(zeros(2, 2), zeros(2, 3), zeros(1, 2), zeros(1, 1))  # would broadcast
 
 
-def _reference_eliminate(a, tol, floor=0.0):
-    """The kernel before its pivot swaps went in place and its update dropped np.outer."""
+def _reference_eliminate(a, tol, floor=0.0, ties=None):
+    """A swapping GECP with np.outer updates; a tie for the largest modulus goes to
+    the smallest original (row, column).  Appends to ``ties`` the pivot count
+    before each tie it decides."""
     lu = np.array(a, dtype=np.complex128, copy=True)
     n, m = lu.shape
     prow = np.arange(n)
@@ -134,13 +143,15 @@ def _reference_eliminate(a, tol, floor=0.0):
     first_pivot = 0.0
     for k in range(min(n, m)):
         sub = np.abs(lu[k:, k:])
-        flat = int(np.argmax(sub))
-        i, j = divmod(flat, m - k)
+        tied = np.argwhere(sub == sub.max())
+        i, j = min(tied, key=lambda c: (prow[k + c[0]], pcol[k + c[1]]))
         piv = sub[i, j]
         if k == 0:
             first_pivot = piv
         if piv <= max(tol * first_pivot, floor) or piv == 0.0:
             break
+        if len(tied) > 1 and ties is not None:
+            ties.append(k)
         i += k
         j += k
         if i != k:
@@ -174,9 +185,9 @@ def _kernel_inputs(rng):
     return out
 
 
-def _assert_reference_factors(left, right, r, a, tol, floor):
+def _assert_reference_factors(left, right, r, a, tol, floor, ties=None):
     """Rank and factors of the swapping reference kernel, value for value; left C-contiguous."""
-    ref_left, ref_right = _reference_factors(*_reference_eliminate(a, tol, floor))
+    ref_left, ref_right = _reference_factors(*_reference_eliminate(a, tol, floor, ties))
     assert r == ref_left.shape[1]
     assert left.shape == ref_left.shape and right.shape == ref_right.shape
     assert left.dtype == right.dtype == np.complex128
@@ -258,24 +269,24 @@ def _large_kernel_inputs(rng):
             yield random_complex(rng, n, m)
 
 
-def test_eliminate_matches_reference_up_to_n32_bit_for_bit(rng, monkeypatch):
-    import antitri.core as core
+def test_eliminate_matches_reference_up_to_n32_bit_for_bit(rng):
+    from antitri.core import _eliminate
 
-    replays = []  # pivots taken before each tie was broken
-    real = core._swapped_order_argmax
-
-    def recorded(mag, pivots):
-        replays.append(len(pivots))
-        return real(mag, pivots)
-
-    monkeypatch.setattr(core, "_swapped_order_argmax", recorded)
+    ties = []  # pivots taken before each tie the reference decided
     for a in [*_lapack_inputs(rng), *_large_kernel_inputs(rng)]:
         for tol, floor in ((1e-10, 0.0), (1e-3, 1e-10 * float(np.max(np.abs(a))))):
-            _assert_reference_factors(*core._eliminate(a, tol, floor), a, tol, floor)
-    assert len(replays) >= 500 and max(replays) >= 16
-    replays.clear()
-    core._eliminate(matrix([[1j, 1j], [0, 0]]), 1e-10)  # example 4.5's F: |1j| twice in row 0
-    assert replays == [0]
+            _assert_reference_factors(*_eliminate(a, tol, floor), a, tol, floor, ties)
+    assert len(ties) >= 500 and max(ties) >= 16
+
+
+def test_eliminate_breaks_a_tie_by_the_first_maximum_in_row_major_order():
+    from antitri.core import _eliminate
+
+    # after the pivot at (0, 2), |W| ties at (1, 0), (1, 1), (2, 0) and (2, 1);
+    # the first in row-major order is (1, 0), which leaves [0, 2, 0] in row 2
+    _, right, r = _eliminate(matrix([[0, 0, 1], [1, -1, -1], [1, 1, -1]]), 1e-10)
+    assert r == 3
+    assert np.array_equal(right, matrix([[0, 0, 1], [1, -1, 0], [0, 2, 0]]))
 
 
 def _reference_factors(lu, prow, pcol, r):
