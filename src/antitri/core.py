@@ -12,6 +12,14 @@ and a threshold relative to the largest pivot (default ``1e-10``);
 solves and inverses are LAPACK LU (``numpy.linalg.solve``/``inv``), run
 once it has certified full rank.  No eigen/SVD anywhere.
 
+:func:`frobenius_norm` has two paths.  In the normal range it is one
+BLAS dot, s = vdot(a, a), and returns sqrt(s) when 2^-900 <= s < inf:
+squares too small to be normal add at most about n * 2^-1074 to s,
+which cannot show against 2^-900.  An exact zero matrix returns 0.0.
+Any other s (an overflow, a sum under the floor, NaN or Inf) takes the
+exact path, which sums the squares of a scaled by a power of two and
+scales the root back.
+
 The elimination never swaps rows or columns.  Its work matrix W stays
 in the input's order; step k takes the largest |W[i, j]| = |p| over all
 of W, copies row i into row k of ``right``, writes W[:, j] / p (with 1
@@ -80,13 +88,28 @@ def diag(*entries) -> np.ndarray:
 
 
 def frobenius_norm(a: np.ndarray) -> float:
-    """sqrt(sum |a_ij|^2), summed on a * 2^-e with e the binary exponent of max|a|.
+    """sqrt(sum |a_ij|^2): one BLAS dot when it is safely in range, else prescaled.
 
-    Powers of two scale exactly, so the sum neither overflows nor, for
-    a matrix of tiny entries, underflows to 0; where the unscaled sum
-    does neither, the result is the same bits.
+    The fast path takes s = vdot(a, a), the unscaled sum of squares, as
+    BLAS ``nrm2`` after Blue (ACM TOMS 4, 1978) does when it is safe.
+    It is safe when 2^-900 <= s < inf.  s is finite only if no square
+    and no partial sum overflowed.  A square that lands below the
+    normal range (an entry under 2^-511) is off by at most 2^-1074
+    there, or is lost whole, so n such squares move s by at most about
+    n * 2^-1074.  Relative to s >= 2^-900 that is n * 2^-174, far below
+    one rounding of s.  An exact zero matrix returns 0.0 at once.
+    Everything else takes the prescaled path below: overflow, a sum
+    under the floor, NaN and Inf.
+
+    The prescaled path sums the squared moduli of a * 2^-e, with e the
+    binary exponent of max|a|, and scales the root back.  Powers of two
+    scale exactly, so that sum neither overflows nor, for a matrix of
+    tiny entries, underflows to 0.
     """
-    if a.size == 0:
+    s = np.vdot(a, a).real
+    if 2.0**-900 <= s < math.inf:
+        return math.sqrt(s)
+    if s == 0.0 and not a.any():
         return 0.0
     mag = np.abs(a)
     e = math.frexp(mag.max())[1]

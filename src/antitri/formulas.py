@@ -254,8 +254,10 @@ def _judge(d: _DrazinData, name: str) -> ConditionEntry:
     This is the one place a residual meets a threshold.  The residual is
     the Frobenius norm of the clause's left-hand side; the threshold is
     tol * max(1, |E|_F) * max(1, |F|_F), or tol * max(1, |E^pi|_F) *
-    max(1, |F^pi|_F) for the idempotent-only EpiFpi/FpiEpi.  FFpi and
-    EEpi pass iff ind <= 1.  "A|B" passes when either clause does and
+    max(1, |F^pi|_F) for the idempotent-only EpiFpi/FpiEpi.  A residual
+    passes only when residual <= threshold < inf: a threshold that
+    overflowed at extreme scale passes nothing.  FFpi and EEpi pass iff
+    ind <= 1.  "A|B" passes when either clause does and
     reports the smaller residual.  With ``d.lam`` set, EF2-FEF becomes
     the either-or "EF-lFE|EF2-FEF".  On a transposed holder a clause is
     its dual on the original pair, judged there under the dual's name.
@@ -273,7 +275,9 @@ def _judge(d: _DrazinData, name: str) -> ConditionEntry:
         residual = frobenius_norm(_CLAUSES[part](d))
         scale = _hyp_scale(d.E.idempotent, d.F.idempotent) if part in _IDEMPOTENT_CLAUSES else d.scale
         threshold = d.tol * scale
-        passed = _GROUP_CLAUSES[part](d) if part in _GROUP_CLAUSES else residual <= threshold
+        passed = (
+            _GROUP_CLAUSES[part](d) if part in _GROUP_CLAUSES else residual <= threshold < math.inf
+        )
         d.verdicts[part] = ConditionEntry(part, residual, threshold, passed)
     if len(parts) > 1:
         best = min((d.verdicts[part] for part in parts), key=lambda v: v.residual)

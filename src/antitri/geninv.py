@@ -200,19 +200,24 @@ def verify_drazin_axioms(
 ) -> ConditionReport:
     """Residuals of AX=XA, XAX=X and A^(k+1)X = A^k, scale-relative.
 
-    Each residual is compared against tol * max(1, |a|_F) * max(1, |x|_F).
+    AX and XA are formed once: the residuals are AX - XA, (XA)X - X and
+    A^k (AX) - A^k.  Each is compared against tol * max(1, |a|_F) *
+    max(1, |x|_F) and passes only when residual <= threshold < inf, so
+    a threshold that overflowed passes nothing.
     """
     if a.shape != x.shape or a.shape[0] != a.shape[1]:
         raise ShapeError(f"axiom check needs equal square shapes, got {a.shape} and {x.shape}")
     scale = max(1.0, frobenius_norm(a)) * max(1.0, frobenius_norm(x))
     threshold = tol * scale
     ak = matrix_power(a, k)
+    ax = a @ x
+    xa = x @ a
     checks = [
-        ("commutation", frobenius_norm(a @ x - x @ a)),
-        ("inner", frobenius_norm(x @ a @ x - x)),
-        ("eventual-power", frobenius_norm(ak @ (a @ x) - ak)),  # AX is a bounded projector
+        ("commutation", frobenius_norm(ax - xa)),
+        ("inner", frobenius_norm(xa @ x - x)),
+        ("eventual-power", frobenius_norm(ak @ ax - ak)),  # AX is a bounded projector
     ]
     return ConditionReport.build(
-        ConditionEntry(name=name, residual=r, threshold=threshold, passed=r <= threshold)
+        ConditionEntry(name=name, residual=r, threshold=threshold, passed=r <= threshold < math.inf)
         for name, r in checks
     )

@@ -63,6 +63,19 @@ def test_check_conditions_jordan_failure():
     assert not entry.passed
 
 
+@pytest.mark.parametrize("theorem_id, clause", [("thm41", "EEpiFpi"), ("cor42", "FpiEpiE")])
+def test_no_clause_passes_under_an_infinite_threshold(theorem_id, clause):
+    # at these scales tol * max(1, |E|_F) * max(1, |F|_F) overflows to inf
+    # unless F = 0, and the violated clause's finite residual used to pass.
+    # The degree-2 clauses overflow in matmul, which is not under test here.
+    for seed in range(20):
+        pair = generate(GeneratorRecipe(theorem_id, 3, seed, violate=clause))
+        for scale in (1e160, 1e200, 1e300):
+            with np.errstate(over="ignore", invalid="ignore"):
+                entry = check_conditions(scale * pair.E, scale * pair.F, theorem_id).entry(clause)
+            assert not entry.passed, (seed, scale, entry)
+
+
 def test_check_conditions_unknown_id():
     with pytest.raises(KeyError):
         check_conditions(identity(2), identity(2), "thm99")

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +42,60 @@ def test_frobenius_norm_is_exact_across_the_exponent_range():
     j = matrix([[1, 1], [1, 1]])
     for k in range(-1000, 1001, 50):
         assert frobenius_norm(2.0**k * j) == 2.0 ** (k + 1), k
+
+
+def _prescaled_norm(a):
+    """Reference: the squared moduli of a * 2^-e summed, e the binary exponent of max|a|."""
+    if a.size == 0:
+        return 0.0
+    mag = np.abs(a)
+    e = math.frexp(mag.max())[1]
+    np.ldexp(mag, -e, out=mag)
+    np.square(mag, out=mag)
+    return float(np.ldexp(math.sqrt(mag.sum()), e))
+
+
+def _assert_norm_matches_reference(a):
+    want = _prescaled_norm(a)
+    got = frobenius_norm(a)
+    assert abs(got - want) <= 4 * 2.0**-52 * math.sqrt(a.size) * want, (a.shape, got, want)
+
+
+def test_frobenius_norm_matches_the_prescaled_reference():
+    # the one-dot path below the floor and beyond overflow hands over to
+    # the prescaled one; k spans both hand-overs and the range between
+    rng = np.random.default_rng(1414)
+    for n in range(9):
+        re, im = rng.uniform(-1, 1, (2, n, n))
+        for base in (re + 1j * im, re):
+            for k in range(-600, 601, 25):
+                a = base * 2.0**k
+                for view in (a, a.T, a[:, ::2]):
+                    _assert_norm_matches_reference(view)
+
+
+def test_frobenius_norm_on_either_side_of_the_floor():
+    c = 2.0**-451  # four entries c: the sum of squares is exactly 2^-900
+    below = np.full((2, 2), c * (1 - 2.0**-20), dtype=np.complex128)
+    above = np.full((2, 2), c * (1 + 2.0**-20), dtype=np.complex128)
+    assert np.vdot(below, below).real < 2.0**-900 < np.vdot(above, above).real
+    # squares that underflow beside one of 2^-900 cannot move the sum
+    mixed = np.full((8, 8), 2.0**-540, dtype=np.complex128)
+    mixed[0, 0] = 2.0**-450
+    for a in (below, above, mixed):
+        _assert_norm_matches_reference(a)
+
+
+def test_frobenius_norm_of_zero_tiny_and_non_finite_matrices():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert frobenius_norm(1e-170 * matrix([[1, 1], [1, 1]])) == pytest.approx(2e-170)
+        for shape in ((3, 3), (0, 0), (0, 4), (4, 0)):
+            assert frobenius_norm(zeros(*shape)) == 0.0
+        assert math.isnan(frobenius_norm(np.array([[1.0, np.nan]], dtype=np.complex128)))
+        assert math.isnan(frobenius_norm(np.array([[np.inf, np.nan]], dtype=np.complex128)))
+        assert frobenius_norm(np.array([[1.0, -np.inf]], dtype=np.complex128)) == math.inf
+        assert frobenius_norm(np.array([[complex(0, np.inf)]])) == math.inf
 
 
 def test_matrix_power_examples():

@@ -746,6 +746,18 @@ def test_cor42_fixture_and_oracle():
         assert compare(out, pair).passed
 
 
+@pytest.mark.parametrize("seed", [1, 13])
+def test_cor42_refuses_an_existence_violated_pair_at_1e160(seed):
+    # the unit pair's M has index 2; at 1e160 every threshold overflows to
+    # inf, which used to pass FpiEF and FpiEpiE and return group blocks
+    pair = generate(GeneratorRecipe("cor42", 3, seed, violate="FpiEpiE"))
+    assert index_of(assemble(pair)) == 2
+    with pytest.raises(HypothesisError) as err:
+        cor42_group(1e160 * pair.E, 1e160 * pair.F)
+    assert err.value.clause == "FpiEF"
+    assert "threshold inf" in str(err.value)
+
+
 def test_cor42_display_block_swap_documented():
     # the printed display puts the transposed off-diagonal formulas in the
     # wrong slots (README, Errata); the returned transpose dual is the

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from antitri import (
     index_of,
     invert,
     matrix,
+    matrix_power,
     rank,
     spectral_idempotent,
     verify_drazin_axioms,
@@ -105,6 +108,36 @@ def test_drazin_result_residuals_match_verifier(rng):
     rep = verify_drazin_axioms(a, r.drazin, r.index)
     assert r.residuals == tuple(e.residual for e in rep.entries)
     assert rep.overall
+
+
+def test_axiom_residuals_are_the_unshared_expressions_bit_for_bit(rng):
+    # AX and XA are formed once and shared; the association is unchanged
+    def unshared(a, x, k):
+        ak = matrix_power(a, k)
+        return (
+            frobenius_norm(a @ x - x @ a),
+            frobenius_norm(x @ a @ x - x),
+            frobenius_norm(ak @ (a @ x) - ak),
+        )
+
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        a, x = random_complex(rng, n), random_complex(rng, n)
+        core_nilpotent, _, _, _ = mixed_similarity(rng, 8)
+        pairs = ((a, x), (a, drazin(a).drazin), (core_nilpotent, drazin(core_nilpotent).drazin))
+        for b, y in pairs:
+            for k in range(4):
+                got = tuple(e.residual for e in verify_drazin_axioms(b, y, k).entries)
+                assert got == unshared(b, y, k), (n, k)
+
+
+def test_axioms_fail_under_an_infinite_threshold():
+    # |a|_F |x|_F overflows: an inf threshold used to pass all three
+    a = diag(1e300, 0)
+    x = diag(0, 1e10)
+    rep = verify_drazin_axioms(a, x, 1)
+    assert all(e.threshold == math.inf and not e.passed for e in rep.entries)
+    assert [e.residual for e in rep.entries] == [0.0, 1e10, 1e300]
 
 
 def _instance_mix(rng, n):
