@@ -273,14 +273,14 @@ def _build_group_eif0(rng, n, violate, recipe, transposed: bool):
         if n < 2:
             _infeasible(recipe, "needs both an invertible part and a kernel in F")
         r, z = _split(rng, n, min_z=1, max_z=n - 1)
-        ft = block2x2(_invertible_diag(rng, r), zeros(r, z), zeros(z, r), zeros(z, z))
+        ft = _group_diag(rng, n, rank=r)
         e12 = _free(rng, r, z)
         e12.flat[0] = 1.0
         # E invertible block-triangular: existence clause passes trivially
         et = block2x2(_invertible_diag(rng, r), e12, zeros(z, r), _invertible_diag(rng, z))
     else:
         r, z = _split(rng, n, min_z=1)
-        ft = block2x2(_invertible_diag(rng, r), zeros(r, z), zeros(z, r), zeros(z, z))
+        ft = _group_diag(rng, n, rank=r)
         if plain_violate == "EpiFpi":
             if z == 0:
                 _infeasible(recipe, "F invertible forces the existence clause")
@@ -316,7 +316,7 @@ def _build_identical(rng, n, violate, recipe, transposed: bool):
         if n < 2:
             _infeasible(recipe, "needs both an invertible part and a kernel in F")
         r, z = _split(rng, n, min_z=1, max_z=n - 1)
-        ft = block2x2(_invertible_diag(rng, r), zeros(r, z), zeros(z, r), zeros(z, z))
+        ft = _group_diag(rng, n, rank=r)
         e12 = _free(rng, r, z)
         e12.flat[0] = 1.0
         et = block2x2(_invertible_diag(rng, r), e12, zeros(z, r), _invertible_diag(rng, z))
@@ -324,7 +324,7 @@ def _build_identical(rng, n, violate, recipe, transposed: bool):
         if n < 2:
             _infeasible(recipe, "needs a kernel of size >= 2 in F")
         r, z = _split(rng, n, min_z=2)
-        ft = block2x2(_invertible_diag(rng, r), zeros(r, z), zeros(z, r), zeros(z, z))
+        ft = _group_diag(rng, n, rank=r)
         e22 = zeros(z, z)
         e22[0, 1] = 1.0  # index-2 corner: E E^pi F^pi != 0
         if z > 2:
@@ -332,7 +332,7 @@ def _build_identical(rng, n, violate, recipe, transposed: bool):
         et = block2x2(_free(rng, r, r), zeros(r, z), _free(rng, z, r), e22)
     else:
         r, z = _split(rng, n)
-        ft = block2x2(_invertible_diag(rng, r), zeros(r, z), zeros(z, r), zeros(z, z))
+        ft = _group_diag(rng, n, rank=r)
         et = block2x2(_free(rng, r, r), zeros(r, z), _free(rng, z, r), _group_diag(rng, z))
     if transposed:
         et, ft = et.T.copy(), ft.T.copy()
@@ -357,7 +357,7 @@ def _build_cor43(rng, n, violate, recipe):
         if n < 2:
             _infeasible(recipe, "needs room for an index-2 corner in E")
         r, z = _split(rng, n, min_z=2)
-        ft = block2x2(_invertible_diag(rng, r), zeros(r, z), zeros(z, r), zeros(z, z))
+        ft = _group_diag(rng, n, rank=r)
         corner = zeros(z, z)
         corner[0, 1] = 1.0  # index-2 nilpotent part of E
         if z > 2:
@@ -368,7 +368,7 @@ def _build_cor43(rng, n, violate, recipe):
         if n < 2:
             _infeasible(recipe, "needs both an invertible part and a kernel in F")
         r, z = _split(rng, n, min_z=1, max_z=n - 1)
-        ft = block2x2(_invertible_diag(rng, r), zeros(r, z), zeros(z, r), zeros(z, z))
+        ft = _group_diag(rng, n, rank=r)
         e12 = _free(rng, r, z)
         e12.flat[0] = 1.0
         e21 = _free(rng, z, r)
@@ -376,7 +376,7 @@ def _build_cor43(rng, n, violate, recipe):
         et = block2x2(_invertible_diag(rng, r), e12, e21, _invertible_diag(rng, z))
         return s @ et @ s_inv, s @ ft @ s_inv
     r, z = _split(rng, n)
-    ft = block2x2(_invertible_diag(rng, r), zeros(r, z), zeros(z, r), zeros(z, z))
+    ft = _group_diag(rng, n, rank=r)
     e11 = _group_diag(rng, r)
     e22 = _group_diag(rng, z)
     mode = rng.random()
@@ -427,14 +427,14 @@ def _build_commuting(rng, n, violate, recipe, need_group_e: bool):
         return s @ et @ s_inv, s @ ft @ s_inv
     if violate == "FpiEpi":
         r, z = _split(rng, n, min_z=1)
-        ft = block2x2(_invertible_diag(rng, r), zeros(r, z), zeros(z, r), zeros(z, z))
+        ft = _group_diag(rng, n, rank=r)
         dz = _group_diag(rng, z, rank=int(rng.integers(0, z)))
         dr = _group_diag(rng, r)
         et = block2x2(dr, zeros(r, z), zeros(z, r), dz)
         return s @ et @ s_inv, s @ ft @ s_inv
     # valid draws
     r, z = _split(rng, n)
-    ft = block2x2(_invertible_diag(rng, r), zeros(r, z), zeros(z, r), zeros(z, z))
+    ft = _group_diag(rng, n, rank=r)
     if rng.random() < 0.5 and r >= 1 and z >= 1:
         # EF^2 = FEF but EF != FE: diagonal-over-diagonal with coupling
         a = _invertible_diag(rng, r) if need_group_e else _group_diag(rng, r)

@@ -8,9 +8,9 @@ objects with dtype ``complex128``; :func:`matrix` is the validating
 constructor that rejects non-finite entries.
 
 Rank decisions use Gaussian elimination with complete pivoting (GECP)
-and a threshold relative to the largest pivot (default ``1e-10``);
-solves and inverses are LAPACK LU (``numpy.linalg.solve``/``inv``), run
-once it has certified full rank.  No eigen/SVD anywhere.
+and a threshold relative to the largest pivot (default ``1e-10``).
+:func:`solve` and :func:`invert` pass the caller's own matrix to LAPACK
+LU once it has certified full rank.  No eigen/SVD anywhere.
 
 :func:`frobenius_norm` has two paths.  In the normal range it is one
 BLAS dot, s = vdot(a, a), and returns sqrt(s) when 2^-900 <= s < inf:
@@ -18,7 +18,7 @@ squares too small to be normal add at most about n * 2^-1074 to s,
 which cannot show against 2^-900.  An exact zero matrix returns 0.0.
 Any other s (an overflow, a sum under the floor, NaN or Inf) takes the
 exact path, which sums the squares of a scaled by a power of two and
-scales the root back.
+scales the root back; a NaN or infinite max|a| is returned as it is.
 
 The elimination never swaps rows or columns.  Its work matrix W stays
 in the input's order; step k takes the largest |W[i, j]| = |p| over all
@@ -99,7 +99,7 @@ def frobenius_norm(a: np.ndarray) -> float:
     n * 2^-1074.  Relative to s >= 2^-900 that is n * 2^-174, far below
     one rounding of s.  An exact zero matrix returns 0.0 at once.
     Everything else takes the prescaled path below: overflow, a sum
-    under the floor, NaN and Inf.
+    under the floor, NaN and Inf, where a NaN or inf max|a| is the answer.
 
     The prescaled path sums the squared moduli of a * 2^-e, with e the
     binary exponent of max|a|, and scales the root back.  Powers of two
@@ -112,7 +112,10 @@ def frobenius_norm(a: np.ndarray) -> float:
     if s == 0.0 and not a.any():
         return 0.0
     mag = np.abs(a)
-    e = math.frexp(mag.max())[1]
+    top = mag.max()
+    if not math.isfinite(top):  # a NaN or Inf entry: the sum is NaN or inf as well
+        return float(top)
+    e = math.frexp(top)[1]
     np.ldexp(mag, -e, out=mag)
     np.square(mag, out=mag)
     return float(np.ldexp(math.sqrt(mag.sum()), e))
@@ -124,15 +127,15 @@ def matrix_power(a: np.ndarray, k: int) -> np.ndarray:
         raise ShapeError("matrix_power requires a square matrix")
     if k < 0:
         raise ValueError("matrix_power exponent must be nonnegative")
-    result = identity(a.shape[0])
+    result = None  # until the first power is taken: no product with the identity
     base = a.copy()
     while k:
         if k & 1:
-            result = result @ base
+            result = base if result is None else result @ base
         k >>= 1
         if k:
             base = base @ base
-    return result
+    return identity(a.shape[0]) if result is None else result
 
 
 @dataclass(frozen=True)
@@ -140,33 +143,12 @@ class RankFactorization:
     """Full-rank factorization a ~ left @ right.
 
     ``left`` is n x r of full column rank, ``right`` is r x m of full
-    row rank; ``rank`` is the numerical rank decided at
-    ``tolerance_used``.  Rank 0 yields empty factors.
+    row rank; ``rank`` is the numerical rank.  Rank 0 yields empty factors.
     """
 
     rank: int
-    tolerance_used: float
     left: np.ndarray = field(repr=False, compare=False)
     right: np.ndarray = field(repr=False, compare=False)
-    _matrix: np.ndarray = field(repr=False, compare=False)  # private copy of a
-
-    def inverse(self) -> np.ndarray:
-        """a^-1 of the factored a by LAPACK ``inv``, bit for bit ``np.linalg.solve(a, I)``."""
-        return np.linalg.inv(self._full_rank())
-
-    def _solve(self, b: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self._full_rank(), b)
-
-    def _full_rank(self) -> np.ndarray:
-        """The private copy of a, once the elimination has certified it square of full rank."""
-        n, m = self._matrix.shape
-        if n != m:
-            raise ShapeError(f"solve requires a square matrix, got {self._matrix.shape}")
-        if self.rank < n:
-            raise SingularMatrixError(
-                f"matrix is singular to tolerance {self.tolerance_used:g} (rank {self.rank} < {n})"
-            )
-        return self._matrix
 
 
 def _eliminate(a: np.ndarray, tol: float, floor: float = 0.0):
@@ -220,12 +202,22 @@ def rank_factorize(
     """
     require_tol(tol)
     left, right, r = _eliminate(a, tol, floor)
-    copy = np.array(a, dtype=np.complex128, copy=True)
-    return RankFactorization(rank=r, tolerance_used=tol, left=left, right=right, _matrix=copy)
+    return RankFactorization(rank=r, left=left, right=right)
 
 
 def rank(a: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> int:
     return rank_factorize(a, tol, floor).rank
+
+
+def _certified(a: np.ndarray, tol: float, floor: float) -> np.ndarray:
+    """a as complex128, once the elimination has certified it square of full rank."""
+    r = rank_factorize(a, tol, floor).rank
+    n, m = a.shape
+    if n != m:
+        raise ShapeError(f"solve requires a square matrix, got {a.shape}")
+    if r < n:
+        raise SingularMatrixError(f"matrix is singular to tolerance {tol:g} (rank {r} < {n})")
+    return np.asarray(a, dtype=np.complex128)
 
 
 def solve(
@@ -234,12 +226,12 @@ def solve(
     """Solve a @ x = b (b 1-d or 2-d) by LAPACK LU; SingularMatrixError if a is singular to tol."""
     if b.shape[0] != a.shape[0]:
         raise ShapeError(f"shape mismatch for solve: {a.shape} vs {b.shape}")
-    return rank_factorize(a, tol, floor)._solve(b)
+    return np.linalg.solve(_certified(a, tol, floor), b)
 
 
 def invert(a: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> np.ndarray:
     """a^-1 by LAPACK ``inv``; SingularMatrixError if a is singular to tol."""
-    return rank_factorize(a, tol, floor).inverse()
+    return np.linalg.inv(_certified(a, tol, floor))
 
 
 def block2x2(tl: np.ndarray, tr: np.ndarray, bl: np.ndarray, br: np.ndarray) -> np.ndarray:

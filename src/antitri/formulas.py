@@ -179,6 +179,8 @@ class _DrazinData:
     ):
         BlockPair(e, f)  # shape check
         require_tol(tol)  # a judge's threshold is tol-relative
+        if lam is not None and not np.isfinite(lam):
+            raise ValueError(f"lam must be finite (no NaN/Inf), got {lam!r}")
         self.e, self.f, self.tol, self.lam = e, f, tol, lam
         self._transpose_of = transpose_of
         self.verdicts: dict[str, ConditionEntry] = {}

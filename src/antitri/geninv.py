@@ -21,7 +21,7 @@ is invertible and ind(A) = j, or at a level of rank 0, where A is
 nilpotent, A^D = 0 and ind(A) = j + 1.  A call at index k makes at
 most k + 1 pivoted eliminations, one per level, all through
 :func:`antitri.core.rank_factorize`, whose elimination yields B_j and
-C_j directly; the invertible level goes to one LAPACK ``inv``.
+C_j directly; one LAPACK ``inv`` takes the level matrix it certifies.
 
 :func:`drazin` runs the recursion on A * 2^-e, with e the binary
 exponent of max|A|, and scales the result back by 2^-e, since
@@ -131,7 +131,7 @@ def _drazin_core(a: np.ndarray, tol: float, floor: float) -> tuple[np.ndarray, i
     while True:
         f = rank_factorize(a, tol, floor)  # f.rank = rank(A_j) = rank(A^(j+1))
         if f.rank == prev_rank:  # A_j is invertible and ind(A) = j
-            x = f.inverse()  # LAPACK inv, full rank certified by that elimination
+            x = np.linalg.inv(np.asarray(a, dtype=np.complex128))  # full rank certified by f
             break
         if f.rank == 0:  # A^(j+1) = 0
             return zeros(n, n), len(levels) + 1

@@ -247,6 +247,17 @@ def test_cmd_block_lam_refused_for_thm41(capsys):
     assert code == EXIT_IO and rep is None
 
 
+def test_cmd_block_non_finite_lam_exits_3(tmp_path, capsys):
+    e, f = tmp_path / "e.json", tmp_path / "f.json"
+    pair = generate(GeneratorRecipe("cor35", 3, 4))
+    write_matrix(str(e), pair.E)
+    write_matrix(str(f), pair.F)
+    code = main(["block", str(e), str(f), "--theorem", "cor35", "--lam", "nan"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_IO and out == ""
+    assert "lam must be finite (no NaN/Inf)" in err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "antitri.cli", "block", "--fixture", "example45",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antitri import (
+    RankFactorization,
     ShapeError,
     SingularMatrixError,
     diag,
@@ -96,6 +98,42 @@ def test_frobenius_norm_of_zero_tiny_and_non_finite_matrices():
         assert math.isnan(frobenius_norm(np.array([[np.inf, np.nan]], dtype=np.complex128)))
         assert frobenius_norm(np.array([[1.0, -np.inf]], dtype=np.complex128)) == math.inf
         assert frobenius_norm(np.array([[complex(0, np.inf)]])) == math.inf
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_frobenius_norm_of_a_non_finite_matrix_with_a_large_entry():
+    # max|a| is NaN or inf: returned as it is, without squaring unscaled entries
+    assert math.isnan(frobenius_norm(np.array([[np.nan, 1e160]], dtype=np.complex128)))
+    assert frobenius_norm(np.array([[np.inf, 1e160]], dtype=np.complex128)) == math.inf
+    assert frobenius_norm(np.array([[complex(np.inf, np.nan), 1e160]])) == math.inf
+
+
+def _identity_first_power(a, k):
+    """Reference: a**k by the same squarings, with the product started from the identity."""
+    result = identity(a.shape[0])
+    base = a.copy()
+    while k:
+        if k & 1:
+            result = result @ base
+        k >>= 1
+        if k:
+            base = base @ base
+    return result
+
+
+def test_matrix_power_matches_the_identity_first_loop_bit_for_bit(rng):
+    # I @ a can flip the sign of a zero part (0 + 2j came back as -0 + 2j), so
+    # inputs with zero parts are held to ==, and the others bit for bit
+    signed = [jordan_nilpotent(3), matrix([[0, -1], [1, 0]]), zeros(2, 2), zeros(0, 0)]
+    signed += [matrix(rng.integers(-2, 3, (n, n)) + 1j * rng.integers(-2, 3, (n, n))) for n in range(1, 9)]
+    cases = [(random_complex(rng, n), True) for n in range(1, 9) for _ in range(3)]
+    cases += [(a, False) for a in signed]
+    for a, bitwise in cases:
+        for k in range(9):
+            got, want = matrix_power(a, k), _identity_first_power(a, k)
+            assert got is not a
+            assert np.array_equal(got, want), (a, k)
+            assert got.tobytes() == want.tobytes() or not bitwise, (a, k)
 
 
 def test_matrix_power_examples():
@@ -262,21 +300,22 @@ def test_eliminate_matches_fancy_index_reference_bit_for_bit(rng):
 
 
 def test_factorization_inverse_is_invert_bit_for_bit(rng):
+    # invert and solve hand the caller's matrix to LAPACK once the elimination certifies it
     checked = 0
     for a, floor in _kernel_inputs(rng):
         n, m = a.shape
         f = rank_factorize(a, 1e-10, floor)
-        if n != m:
-            with pytest.raises(ShapeError):
-                f.inverse()
-        elif f.rank < n:
-            with pytest.raises(SingularMatrixError):
-                f.inverse()
-            with pytest.raises(SingularMatrixError):
+        if n != m or f.rank < n:
+            error = ShapeError if n != m else SingularMatrixError
+            with pytest.raises(error):
                 invert(a, 1e-10, floor)
+            with pytest.raises(error):
+                solve(a, identity(n), 1e-10, floor)
         else:
-            want = invert(a, 1e-10, floor)
-            assert np.array_equal(f.inverse().view(np.float64), want.view(np.float64))
+            want = np.linalg.inv(a).view(np.float64)
+            assert np.array_equal(invert(a, 1e-10, floor).view(np.float64), want)
+            want = np.linalg.solve(a, identity(n)).view(np.float64)
+            assert np.array_equal(solve(a, identity(n), 1e-10, floor).view(np.float64), want)
             checked += 1
     assert checked >= 40
 
@@ -290,16 +329,16 @@ def _lapack_inputs(rng):
 
 
 def test_inverse_is_lapack_solve_on_the_identity_bit_for_bit(rng):
-    # inverse() and invert are LAPACK inv, which is gesv on the identity
+    # invert is LAPACK inv, which is gesv on the identity, as solve(a, I) is
     checked = 0
     for a in _lapack_inputs(rng):
-        f = rank_factorize(a)
-        if f.rank < a.shape[0]:
+        n = a.shape[0]
+        if rank_factorize(a).rank < n:
             with pytest.raises(SingularMatrixError):
                 invert(a)
             continue
-        want = np.linalg.solve(a, identity(a.shape[0])).view(np.float64)
-        assert np.array_equal(f.inverse().view(np.float64), want)
+        want = np.linalg.solve(a, identity(n)).view(np.float64)
+        assert np.array_equal(solve(a, identity(n)).view(np.float64), want)
         assert np.array_equal(invert(a).view(np.float64), want)
         checked += 1
     assert checked >= 150
@@ -383,17 +422,20 @@ def test_elimination_not_lapack_decides_singularity():
         solve(a, identity(2), 1e-10)
     with pytest.raises(SingularMatrixError):
         invert(a, 1e-10)
-    with pytest.raises(SingularMatrixError):
-        rank_factorize(a, 1e-10).inverse()
     assert np.array_equal(invert(a, 1e-13), diag(1, 1e12))
 
 
-def test_factorization_inverse_does_not_alias_its_input():
-    a = matrix([[2, 1], [1, 3]])
-    f = rank_factorize(a)
-    want = invert(a)
-    a[0, 0] = 100.0
-    assert np.array_equal(f.inverse(), want)
+def test_rank_factorization_holds_only_its_factors():
+    assert [f.name for f in dataclasses.fields(RankFactorization)] == ["rank", "left", "right"]
+
+
+def test_a_real_matrix_is_inverted_as_complex():
+    from antitri import drazin
+
+    a = np.array([[2.0, 1.0], [1.0, 3.0]])
+    assert invert(a).tobytes() == np.linalg.inv(matrix(a)).tobytes()
+    assert solve(a, np.ones(2)).dtype == np.complex128
+    assert drazin(a).drazin.tobytes() == drazin(matrix(a)).drazin.tobytes()
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, np.inf, np.nan])

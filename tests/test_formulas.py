@@ -1,4 +1,5 @@
 import ast
+import math
 import pathlib
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from antitri import (
     Pattern,
     apply_formula,
     assemble,
+    check_conditions,
     cline,
     compare,
     cor26,
@@ -1007,6 +1009,17 @@ def test_lam_is_refused_without_commutation_clause():
     with pytest.raises(ValueError, match="lam"):
         apply_formula("thm41", E45, F45, lam=5)
     assert not isinstance(apply_formula("cor44", E45, F45, lam=5), NoGroupInverse)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, complex(math.nan, 1)])
+def test_non_finite_lam_is_refused(lam):
+    # a NaN lam passed the either-or clause with residual NaN; inf warned in EF-lFE
+    pair = generate(GeneratorRecipe("cor35", 3, 4))
+    for call in (cor35_group, cor44_group):
+        with pytest.raises(ValueError, match="lam must be finite"):
+            call(pair.E, pair.F, lam)
+    with pytest.raises(ValueError, match="lam must be finite"):
+        check_conditions(pair.E, pair.F, "cor35", lam=lam)
 
 
 def _nan_corner():

@@ -168,14 +168,16 @@ def test_recursion_index_of_non_normal_instance():
 
 
 def test_drazin_work_per_call(rng, monkeypatch):
-    # one elimination per recursion level, the innermost also giving the
-    # inverse; no power ranks, and the axiom residuals only once they are read
+    # one elimination per recursion level and one LAPACK inv for the invertible
+    # level (none for nilpotent A); no power ranks, and the axiom residuals only
+    # once they are read
     import antitri.core as core
     import antitri.geninv as geninv
 
-    calls = dict.fromkeys(("_eliminate", "index_of", "verify_drazin_axioms"), 0)
+    calls = dict.fromkeys(("_eliminate", "inv", "index_of", "verify_drazin_axioms"), 0)
+    homes = {"_eliminate": core, "inv": np.linalg}
     for name in calls:
-        module = core if name == "_eliminate" else geninv
+        module = homes.get(name, geninv)
         real = getattr(module, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
@@ -190,6 +192,7 @@ def test_drazin_work_per_call(rng, monkeypatch):
             calls[name] = 0
         r = drazin(a)
         assert calls["_eliminate"] <= r.index + 1, calls
+        assert calls["inv"] == int(r.drazin.any()), calls
         assert calls["index_of"] == 0 and calls["verify_drazin_axioms"] == 0, calls
         residuals = r.residuals
         assert calls["verify_drazin_axioms"] == 1
