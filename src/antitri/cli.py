@@ -22,6 +22,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .conditions import (
     InfeasibleRecipeError,
     PATTERN_FOR,
     THEOREM_IDS,
+    _row_report,
     check_conditions,
     example_45,
     generate,
@@ -38,11 +40,11 @@ from .core import matrix
 from .formulas import (
     BlockPair,
     BlockResult,
-    GroupFormulaBlocks,
     HypothesisError,
     NoGroupInverse,
     Pattern,
-    apply_formula,
+    _holder,
+    _run,
 )
 from .geninv import drazin
 from .oracle import COMPARE_TOL, compare
@@ -128,32 +130,15 @@ def _json_default(obj):
 
 
 def _result_json(result) -> dict:
-    if isinstance(result, BlockResult):
-        return {
-            "kind": result.kind.value,
-            "pattern": result.pattern.value,
-            "blocks": {
-                "tl": matrix_to_json(result.tl),
-                "tr": matrix_to_json(result.tr),
-                "bl": matrix_to_json(result.bl),
-                "br": matrix_to_json(result.br),
-            },
-            "truncation": result.truncation,
-        }
-    if isinstance(result, GroupFormulaBlocks):
-        return {
-            "kind": result.kind.value,
-            "pattern": result.pattern.value,
-            "blocks": {
-                "Gamma": matrix_to_json(result.Gamma),
-                "Delta": matrix_to_json(result.Delta),
-                "Lambda": matrix_to_json(result.Lambda),
-                "Xi": matrix_to_json(result.Xi),
-            },
-            "diagnostics": result.diagnostics,
-        }
+    if isinstance(result, NoGroupInverse):
+        return {"no_group_inverse": {"failed": list(result.failed), "residuals": result.residuals}}
+    extra = "truncation" if isinstance(result, BlockResult) else "diagnostics"
     return {
-        "no_group_inverse": {"failed": list(result.failed), "residuals": result.residuals}
+        "kind": result.kind.value,
+        "pattern": result.pattern.value,
+        # either answer class keeps its four blocks in its first four fields
+        "blocks": {b.name: matrix_to_json(getattr(result, b.name)) for b in fields(result)[:4]},
+        extra: getattr(result, extra),
     }
 
 
@@ -204,12 +189,10 @@ def cmd_block(args) -> int:
     lam = _parse_lam(args.lam)
     digest = _digest(e, f)
     echo = ["block", "--theorem", theorem]
+    d = _holder(theorem, e, f, args.tol, lam)  # one holder: each Drazin datum is computed once
+    conditions = _row_report(d, theorem)
     try:
-        conditions = check_conditions(e, f, theorem, args.tol, lam=lam)
-    except ValueError as err:
-        raise InputError(str(err)) from None
-    try:
-        result = apply_formula(theorem, e, f, tol=args.tol, lam=lam)
+        result = _run(d, theorem)
     except HypothesisError as err:
         _emit(
             _report(

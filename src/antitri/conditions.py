@@ -30,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from .core import DEFAULT_TOL, block2x2, identity, matrix, zeros
-from .formulas import REGISTRY, BlockPair, Pattern, _DrazinData, _judge, dual_clause
+from .formulas import REGISTRY, BlockPair, Pattern, _DrazinData, _holder, _judge, dual_clause
 from .reports import ConditionReport
 
 
@@ -57,11 +57,15 @@ def check_conditions(
     or tol * max(1, |E^pi|_F) * max(1, |F^pi|_F) for the idempotent-only
     EpiFpi/FpiEpi.  FFpi/EEpi (X X^pi = 0) pass iff ind <= 1.  A supplied
     lam makes the commutation clause the either-or "EF-lFE|EF2-FEF"; an
-    either-or clause reports the smaller residual.
+    either-or clause reports the smaller residual.  As in ``apply_formula``,
+    a lam for an id without the commutation clause raises ValueError.
     """
-    names = REGISTRY[theorem_id].clauses
-    d = _DrazinData(e, f, tol, lam)
-    return ConditionReport.build(_judge(d, name) for name in names)
+    return _row_report(_holder(theorem_id, e, f, tol, lam), theorem_id)
+
+
+def _row_report(d: _DrazinData, theorem_id: str) -> ConditionReport:
+    """The verdict on every clause of ``theorem_id``'s row, judged on the holder ``d``."""
+    return ConditionReport.build(_judge(d, name) for name in REGISTRY[theorem_id].clauses)
 
 
 @dataclass(frozen=True)
@@ -156,6 +160,15 @@ def _group_diag(rng: np.random.Generator, size: int, rank: int | None = None) ->
     return out
 
 
+def _index2_corner(rng: np.random.Generator, size: int) -> np.ndarray:
+    """[0, 1] = 1, an index-2 nilpotent part, over a group invertible rest (size >= 2)."""
+    out = zeros(size, size)
+    out[0, 1] = 1.0
+    if size > 2:
+        out[2:, 2:] = _group_diag(rng, size - 2)
+    return out
+
+
 def _infeasible(recipe: GeneratorRecipe, why: str):
     raise InfeasibleRecipeError(
         f"recipe {recipe.theorem_id} n={recipe.dimension} violate={recipe.violate}: {why}"
@@ -167,6 +180,30 @@ def _split(rng: np.random.Generator, n: int, min_z: int = 0, max_z: int | None =
     hi = n if max_z is None else min(n, max_z)
     z = int(rng.integers(min_z, hi + 1))
     return n - z, z
+
+
+def _fefpi_broken(rng, n, recipe) -> tuple[np.ndarray, np.ndarray]:
+    """(E, F) in the F-eigenbasis with F E F^pi != 0 through E12, and E invertible."""
+    if n < 2:
+        _infeasible(recipe, "needs both an invertible part and a kernel in F")
+    r, z = _split(rng, n, min_z=1, max_z=n - 1)
+    ft = _group_diag(rng, n, rank=r)
+    e12 = _free(rng, r, z)
+    e12.flat[0] = 1.0
+    # E invertible block-triangular: existence clause passes trivially
+    return block2x2(_invertible_diag(rng, r), e12, zeros(z, r), _invertible_diag(rng, z)), ft
+
+
+def _ffpi_broken(rng, n, recipe) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(r, z, F, E22): F = diag(C, N) with ind N >= 2, E22 idempotent on e_0, which N kills."""
+    if n < 2:
+        _infeasible(recipe, "nilpotent corner of size >= 2 required")
+    r, z = _split(rng, n, min_z=2)
+    nil, _ = _nilpotent(rng, z, lead_index=2)
+    ft = block2x2(_invertible_diag(rng, r), zeros(r, z), zeros(z, r), nil)
+    e22 = zeros(z, z)
+    e22[0, 0] = 1.0  # group, and N E22 = 0 keeps F E F^pi = 0
+    return r, z, ft, e22
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +307,7 @@ def _build_group_eif0(rng, n, violate, recipe, transposed: bool):
     if plain_violate is None and rng.random() < 0.10:
         et, ft = _free(rng, n, n), _invertible_diag(rng, n)  # F^pi = 0 degenerate
     elif plain_violate == "FEFpi":
-        if n < 2:
-            _infeasible(recipe, "needs both an invertible part and a kernel in F")
-        r, z = _split(rng, n, min_z=1, max_z=n - 1)
-        ft = _group_diag(rng, n, rank=r)
-        e12 = _free(rng, r, z)
-        e12.flat[0] = 1.0
-        # E invertible block-triangular: existence clause passes trivially
-        et = block2x2(_invertible_diag(rng, r), e12, zeros(z, r), _invertible_diag(rng, z))
+        et, ft = _fefpi_broken(rng, n, recipe)
     else:
         r, z = _split(rng, n, min_z=1)
         ft = _group_diag(rng, n, rank=r)
@@ -303,32 +333,16 @@ def _build_identical(rng, n, violate, recipe, transposed: bool):
     if plain_violate == "FFpi":
         # feasible here: the existence clause needs only a group invertible
         # E-corner, which can live inside ker N
-        if n < 2:
-            _infeasible(recipe, "nilpotent corner of size >= 2 required")
-        r, z = _split(rng, n, min_z=2)
-        nil, sizes = _nilpotent(rng, z, lead_index=2)
-        ft = block2x2(_invertible_diag(rng, r), zeros(r, z), zeros(z, r), nil)
-        k1 = _kernel_indices(sizes, 1)
-        e22 = zeros(z, z)
-        e22[k1[0], k1[0]] = 1.0  # idempotent corner inside ker N: group, N E22 = 0
+        r, z, ft, e22 = _ffpi_broken(rng, n, recipe)
         et = block2x2(_free(rng, r, r), zeros(r, z), _free(rng, z, r), e22)
     elif plain_violate == "FEFpi":
-        if n < 2:
-            _infeasible(recipe, "needs both an invertible part and a kernel in F")
-        r, z = _split(rng, n, min_z=1, max_z=n - 1)
-        ft = _group_diag(rng, n, rank=r)
-        e12 = _free(rng, r, z)
-        e12.flat[0] = 1.0
-        et = block2x2(_invertible_diag(rng, r), e12, zeros(z, r), _invertible_diag(rng, z))
+        et, ft = _fefpi_broken(rng, n, recipe)
     elif plain_violate == "EEpiFpi":
         if n < 2:
             _infeasible(recipe, "needs a kernel of size >= 2 in F")
         r, z = _split(rng, n, min_z=2)
         ft = _group_diag(rng, n, rank=r)
-        e22 = zeros(z, z)
-        e22[0, 1] = 1.0  # index-2 corner: E E^pi F^pi != 0
-        if z > 2:
-            e22[2:, 2:] = _group_diag(rng, z - 2)
+        e22 = _index2_corner(rng, z)  # E E^pi F^pi != 0
         et = block2x2(_free(rng, r, r), zeros(r, z), _free(rng, z, r), e22)
     else:
         r, z = _split(rng, n)
@@ -343,14 +357,7 @@ def _build_cor43(rng, n, violate, recipe):
     """Both blocks group invertible, either annihilator hypothesis."""
     s, s_inv = _unimodular(rng, n)
     if violate == "FFpi":
-        if n < 2:
-            _infeasible(recipe, "nilpotent corner of size >= 2 required")
-        r, z = _split(rng, n, min_z=2)
-        nil, sizes = _nilpotent(rng, z, lead_index=2)
-        ft = block2x2(_invertible_diag(rng, r), zeros(r, z), zeros(z, r), nil)
-        k1 = _kernel_indices(sizes, 1)
-        e22 = zeros(z, z)
-        e22[k1[0], k1[0]] = 1.0  # keeps FEF^pi = 0 and E group invertible
+        r, z, ft, e22 = _ffpi_broken(rng, n, recipe)
         et = block2x2(_group_diag(rng, r), zeros(r, z), zeros(z, r), e22)
         return s @ et @ s_inv, s @ ft @ s_inv
     if violate == "EEpi":
@@ -358,10 +365,7 @@ def _build_cor43(rng, n, violate, recipe):
             _infeasible(recipe, "needs room for an index-2 corner in E")
         r, z = _split(rng, n, min_z=2)
         ft = _group_diag(rng, n, rank=r)
-        corner = zeros(z, z)
-        corner[0, 1] = 1.0  # index-2 nilpotent part of E
-        if z > 2:
-            corner[2:, 2:] = _group_diag(rng, z - 2)
+        corner = _index2_corner(rng, z)
         et = block2x2(_group_diag(rng, r), zeros(r, z), zeros(z, r), corner)
         return s @ et @ s_inv, s @ ft @ s_inv
     if violate == "FEFpi|FpiEF":
@@ -409,11 +413,7 @@ def _build_commuting(rng, n, violate, recipe, need_group_e: bool):
         if n < 2:
             _infeasible(recipe, "needs n >= 2 for an index-2 corner in E")
         ft = _invertible_diag(rng, 1)[0, 0] * identity(n)  # scalar F commutes with all E
-        et = zeros(n, n)
-        et[0, 1] = 1.0
-        if n > 2:
-            et[2:, 2:] = _group_diag(rng, n - 2)
-        return s @ et @ s_inv, s @ ft @ s_inv
+        return s @ _index2_corner(rng, n) @ s_inv, s @ ft @ s_inv
     if violate == "EF2-FEF":
         if n < 2:
             _infeasible(recipe, "needs two distinct invertible eigenvalues of F")

@@ -19,39 +19,42 @@ F^pi E F = 0 and returns either the four blocks or a NoGroupInverse
 value reporting which existence clause failed -- "does not exist" is an
 answer, not an error.
 
-Each formula computes one route.  The base theorems (thm23, thm31,
-thm41) evaluate their printed blocks; the transpose duals (thm33,
-cor42) transpose their base result, the similarity corollaries (cor32,
-cor34) conjugate it, and cor35, cor43, cor44 hand over to thm33, thm41
-or cor42.  thm25, cor26 and thm27 take the constructive route M = P + Q,
-because the printed n x n recipe of Theorem 2.5 is misprinted (see the
-README's Errata): Q^d from the n x n symbols S, lam, sig, g, d, X, Y, Z
-of ``_anti_triangular``, P^pi = diag(F^pi, F^pi) exactly, and only the
-outer additive split in 2n x 2n, summed by Horner.  The printed displays
-are pinned against these routes by the tests, not recomputed here.
+Each formula id is one row of ``REGISTRY``: pattern, inverse kind, the
+clauses that refuse the pair (HypothesisError) and those that answer
+NoGroupInverse, and a body of one ``_DrazinData``.  ``_run``, the one
+dispatcher, gates the row, then calls the body; each public formula is
+``_run`` on a fresh holder.  The base rows thm23, thm25, thm31 and thm41
+evaluate their blocks.  The other rows map a base answer on the same
+Drazin data: thm27 relabels thm25 as Drazin; thm33 and cor42 transpose
+thm31 and thm41 on (E^T, F^T); cor26, cor32 and cor34 push thm25, thm31
+and thm33 through [[E, F], [I, 0]] = T^-1 [[E, I], [F, 0]] T,
+T = [[0, I], [I, -E]], in n x n blocks; cor35 is thm33 and cor44 is
+cor43, each under its own gate; cor43 hands over to thm41 or cor42.
+
+thm25 takes the constructive route M = P + Q, because the printed n x n
+recipe of Theorem 2.5 is misprinted (see the README's Errata): Q^d from
+the n x n symbols S, lam, sig, g, d, X, Y, Z of ``_anti_triangular``,
+P^pi = diag(F^pi, F^pi) exactly, and only the outer additive split in
+2n x 2n, summed by Horner.  The printed displays are pinned against
+these routes by the tests, not recomputed here.
 
 Every series is truncated at a proven vanishing point (any term
 containing X^i X^pi dies once i >= ind(X)); indices are computed once
 and loops are capped, terms are never tested for smallness.
 
-One call builds one ``_DrazinData`` for its (E, F): ``drazin(E)`` and
-``drazin(F)`` run at most once each, on first use, and the composite
-formulas hand that holder to their base formula.  Transpose duals read
-the same data through (A^T)^D = (A^D)^T.  Each clause is one expression
-in ``_CLAUSES``, and each formula id is one row of ``REGISTRY`` listing
-the clauses that refuse the pair (HypothesisError) and those that
-answer NoGroupInverse.  One judge, ``_judge``, decides every clause and
-keeps its verdict on the holder; one gate, ``_gate``, walks a row.
-Every formula gates its own row before it computes, composites before
-handing over, and ``check_conditions`` reports the same verdicts.
+``drazin(E)`` and ``drazin(F)`` run at most once per holder, on first
+use.  Each clause is one expression in ``_CLAUSES``; one judge,
+``_judge``, decides every clause and keeps its verdict on the holder;
+one gate, ``_gate``, walks a row, and ``check_conditions`` reports the
+same verdicts.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -288,24 +291,23 @@ def _judge(d: _DrazinData, name: str) -> ConditionEntry:
     return d.verdicts[name]
 
 
-def _gate(d: _DrazinData, theorem_id: str) -> NoGroupInverse | None:
-    """Judge the row of ``theorem_id`` in order; None when every clause holds.
+def _gate(d: _DrazinData, name: str, row: _Formula) -> NoGroupInverse | None:
+    """Judge the clauses of ``row`` in order; None when every clause holds.
 
     The first failing hypothesis clause raises HypothesisError, carrying
     the residuals judged so far; failing existence clauses are answered
     together as one NoGroupInverse.
     """
-    row = _LEMMAS.get(theorem_id) or REGISTRY[theorem_id]
     residuals: dict[str, float] = {}
     failed = []
-    for name in row.clauses:
-        entry = _judge(d, name)
+    for clause in row.clauses:
+        entry = _judge(d, clause)
         residuals[entry.name] = entry.residual
         if entry.passed:
             continue
-        if name in row.hypotheses:
+        if clause in row.hypotheses:
             raise HypothesisError(
-                f"{theorem_id}: hypothesis {entry.name} fails (residual {entry.residual:.3e}, "
+                f"{name}: hypothesis {entry.name} fails (residual {entry.residual:.3e}, "
                 f"threshold {entry.threshold:.3e})",
                 residuals,
                 entry.name,
@@ -314,15 +316,10 @@ def _gate(d: _DrazinData, theorem_id: str) -> NoGroupInverse | None:
     return NoGroupInverse(failed=tuple(failed), residuals=residuals) if failed else None
 
 
-def _transpose_dual(body, d: _DrazinData, pattern: Pattern) -> GroupFormulaBlocks:
-    """The transpose of body's result on the transposed pair, as blocks of pattern.
-
-    The caller gates its own row first: on ``d.T`` body's gate reads the same verdicts.
-    """
-    out = body(d.T)
-    return GroupFormulaBlocks(
-        Gamma=out.Gamma.T, Delta=out.Lambda.T, Lambda=out.Delta.T, Xi=out.Xi.T, pattern=pattern
-    )
+def _run(d: _DrazinData, theorem_id: str) -> BlockResult | GroupFormulaBlocks | NoGroupInverse:
+    """The one dispatcher: gate the row of ``theorem_id`` on ``d``, then compute its body."""
+    row = REGISTRY[theorem_id]
+    return _gate(d, theorem_id, row) or row.body(d)
 
 
 def _vanish_count(ind: int, start: int, step: int = 2) -> int:
@@ -373,7 +370,7 @@ def lemma22_additive(p: np.ndarray, q: np.ndarray, tol: float = DEFAULT_TOL) -> 
     if p.shape != q.shape or p.shape[0] != p.shape[1]:
         raise ShapeError("lemma22_additive requires equal square shapes")
     d = _DrazinData(p, q, tol)
-    _gate(d, "lemma22")
+    _gate(d, "lemma22", _LEMMAS["lemma22"])
     rp, rq = d.E, d.F
     pd, ppi = rp.drazin, rp.idempotent
     qd, qpi = rq.drazin, rq.idempotent
@@ -393,7 +390,7 @@ def lemma24_additive(p: np.ndarray, q: np.ndarray, tol: float = DEFAULT_TOL) -> 
     if p.shape != q.shape or p.shape[0] != p.shape[1]:
         raise ShapeError("lemma24_additive requires equal square shapes")
     d = _DrazinData(p, q, tol)
-    _gate(d, "lemma24")
+    _gate(d, "lemma24", _LEMMAS["lemma24"])
     rp, rq = d.E, d.F
     out = zeros(p.shape[0], p.shape[0])
     for i in range(rq.index):
@@ -417,8 +414,11 @@ def cline(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def thm23(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult:
     """g-Drazin inverse of [[E, I], [F, 0]] under EFE = 0 and F^2 E = 0."""
-    d = _DrazinData(e, f, tol)
-    _gate(d, "thm23")
+    return _run(_DrazinData(e, f, tol), "thm23")
+
+
+def _thm23(d: _DrazinData) -> BlockResult:
+    e, f = d.e, d.f
     re_, rf = d.E, d.F
     ed, epi, ind_e = re_.drazin, re_.idempotent, re_.index
     fd, fpi, ind_f = rf.drazin, rf.idempotent, rf.index
@@ -465,8 +465,8 @@ def thm23(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult
     )
 
 
-def _anti_triangular(d: _DrazinData, theorem_id: str) -> BlockResult:
-    """Shared engine of thm25, cor26 and thm27: E F E F^pi = F^2 E F^pi = 0.
+def _anti_triangular(d: _DrazinData) -> BlockResult:
+    """Body of thm25, the base of cor26 and thm27: E F E F^pi = F^2 E F^pi = 0.
 
     Splits M = P + Q along the idempotent diag(F^pi, 0): P is the
     group-invertible summand, with P^pi = diag(F^pi, F^pi) exactly, and
@@ -490,7 +490,6 @@ def _anti_triangular(d: _DrazinData, theorem_id: str) -> BlockResult:
     """
     e, f = d.e, d.f
     n = e.shape[0]
-    _gate(d, theorem_id)
     rf = d.F
     fd, fpi, ind_f = rf.drazin, rf.idempotent, rf.index
     ffd = f @ fd
@@ -530,7 +529,7 @@ def _anti_triangular(d: _DrazinData, theorem_id: str) -> BlockResult:
     md = qd @ block2x2(fpi, z, z, fpi) + h @ pd
     return BlockResult(
         *split2x2(md, n, n),
-        kind=REGISTRY[theorem_id].kind,
+        kind=InverseKind.G_DRAZIN,
         pattern=Pattern.EI_F0,
         truncation={"k": k_cap, "m": m_cap},
     )
@@ -538,7 +537,7 @@ def _anti_triangular(d: _DrazinData, theorem_id: str) -> BlockResult:
 
 def thm25(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult:
     """g-Drazin inverse of [[E, I], [F, 0]] under EFEF^pi = F^2 E F^pi = 0."""
-    return _anti_triangular(_DrazinData(e, f, tol), "thm25")
+    return _run(_DrazinData(e, f, tol), "thm25")
 
 
 def thm27(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult:
@@ -547,35 +546,72 @@ def thm27(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult
     Identical algebra to :func:`thm25`; the caps k = ind(E F^pi) + 2 ind(F)
     and m = ind(F) are reported in ``truncation``.
     """
-    return _anti_triangular(_DrazinData(e, f, tol), "thm27")
+    return _run(_DrazinData(e, f, tol), "thm27")
+
+
+def _thm27(d: _DrazinData) -> BlockResult:
+    return replace(_run(d, "thm25"), kind=InverseKind.DRAZIN)
 
 
 def cor26(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult:
-    """g-Drazin inverse of [[E, F], [I, 0]] via the product transfer.
+    """g-Drazin inverse of [[E, F], [I, 0]] under EFEF^pi = F^2 E F^pi = 0.
 
-    [[E,F],[I,0]]^d = [[E,I],[I,0]] ([[E,I],[F,0]]^d)^2 [[I,0],[0,F]].
+    The :func:`thm25` result pushed through the similarity T = [[0, I], [I, -E]]:
+    T^-1 [[E, I], [F, 0]]^d T.
     """
-    base = _anti_triangular(_DrazinData(e, f, tol), "cor26")
-    n = e.shape[0]
-    nd = base.assemble()
-    nd2 = nd @ nd
-    top = e @ nd2[:n] + nd2[n:]  # the row [E, I] times (N^d)^2
-    return replace(
-        base, tl=top[:, :n], tr=top[:, n:] @ f, bl=nd2[:n, :n], br=nd2[:n, n:] @ f, pattern=Pattern.EF_I0
-    )
+    return _run(_DrazinData(e, f, tol), "cor26")
+
+
+# ---------------------------------------------------------------------------
+# maps between the answers of the three patterns
+
+
+def _transpose_blocks(gamma, delta, lam, xi):
+    """Blocks of X^T for X = [[Gamma, Delta], [Lambda, Xi]]."""
+    return gamma.T, lam.T, delta.T, xi.T
+
+
+def _to_ef_i0(e, gamma, delta, lam, xi):
+    """Blocks of T^-1 X T for X = [[Gamma, Delta], [Lambda, Xi]], T = [[0, I], [I, -E]].
+
+    T^-1 = [[E, I], [I, 0]] and [[E, F], [I, 0]] = T^-1 [[E, I], [F, 0]] T, so
+    this maps an answer for [[E, I], [F, 0]] to one for [[E, F], [I, 0]].
+    """
+    top = e @ delta + xi
+    return top, e @ gamma + lam - top @ e, delta, gamma - delta @ e
+
+
+def _to_ei_f0(e, gamma, delta, lam, xi):
+    """Blocks of T X T^-1, the inverse map of :func:`_to_ef_i0`: [[E, F], [I, 0]] to [[E, I], [F, 0]]."""
+    left = gamma - e @ lam
+    return lam @ e + xi, lam, left @ e + delta - e @ xi, left
+
+
+# Transposing or conjugating by T swaps [[E, I], [F, 0]] and [[E, F], [I, 0]];
+# [[E, F], [F, 0]] is its own transpose.
+_MAPPED_PATTERN = {Pattern.EI_F0: Pattern.EF_I0, Pattern.EF_I0: Pattern.EI_F0}
+
+
+def _mapped(out, blocks_map):
+    """The answer ``out`` with its four blocks, its first four fields, mapped by ``blocks_map``."""
+    names = [block.name for block in fields(out)[:4]]
+    blocks = blocks_map(*(getattr(out, name) for name in names))
+    pattern = _MAPPED_PATTERN.get(out.pattern, out.pattern)
+    return replace(out, pattern=pattern, **dict(zip(names, blocks)))
+
+
+def _similar(base_id: str, blocks_map):
+    """Body of a similarity corollary: the base row's answer, mapped through T."""
+    return lambda d: _mapped(_run(d, base_id), partial(blocks_map, d.e))
+
+
+def _dual(base_id: str):
+    """Body of a transpose dual: the base row's answer on (E^T, F^T), transposed."""
+    return lambda d: _mapped(_run(d.T, base_id), _transpose_blocks)
 
 
 # ---------------------------------------------------------------------------
 # group-inverse family
-
-
-def _conjugate(
-    base: GroupFormulaBlocks, left: np.ndarray, right: np.ndarray, pattern: Pattern
-) -> GroupFormulaBlocks:
-    """The base result pushed through a similarity: left X right, as blocks of pattern."""
-    n = base.Gamma.shape[0]
-    gamma, delta, lam, xi = split2x2(left @ base.assemble() @ right, n, n)
-    return GroupFormulaBlocks(Gamma=gamma, Delta=delta, Lambda=lam, Xi=xi, pattern=pattern)
 
 
 def thm31_group(
@@ -586,12 +622,10 @@ def thm31_group(
     Exists iff F has a group inverse and E^pi F^pi = 0; the blocks are
     [[E^D F^pi, F^# + (E^D F^pi)^2 - E^D F^pi E F^#], [F F^#, -F F^# E F^#]].
     """
-    return _thm31(_DrazinData(e, f, tol))
+    return _run(_DrazinData(e, f, tol), "thm31")
 
 
-def _thm31(d: _DrazinData) -> GroupFormulaBlocks | NoGroupInverse:
-    if no_group := _gate(d, "thm31"):
-        return no_group
+def _thm31(d: _DrazinData) -> GroupFormulaBlocks:
     e, f = d.e, d.f
     fs, fpi = d.F.drazin, d.F.idempotent  # index <= 1: Drazin inverse is the group inverse
     edfpi = d.E.drazin @ fpi
@@ -610,16 +644,10 @@ def cor32_group(
     """Group inverse of [[E, F], [I, 0]] under F E F^pi = 0.
 
     Same existence clause as :func:`thm31_group`; the :func:`thm31_group`
-    result pushed through the similarity P = [[0, I], [I, -E]]:
-    P^-1 [[E, I], [F, 0]]^# P.
+    result pushed through the similarity T = [[0, I], [I, -E]]:
+    T^-1 [[E, I], [F, 0]]^# T.
     """
-    d = _DrazinData(e, f, tol)
-    base = _gate(d, "cor32") or _thm31(d)
-    if isinstance(base, NoGroupInverse):
-        return base
-    n = e.shape[0]
-    ident, z = identity(n), zeros(n, n)
-    return _conjugate(base, block2x2(e, ident, ident, z), block2x2(z, ident, ident, -e), Pattern.EF_I0)
+    return _run(_DrazinData(e, f, tol), "cor32")
 
 
 def thm33_group(
@@ -630,11 +658,7 @@ def thm33_group(
     Exists iff F has a group inverse and F^pi E^pi = 0: the transpose of
     :func:`thm31_group` on (E^T, F^T).
     """
-    return _thm33(_DrazinData(e, f, tol))
-
-
-def _thm33(d: _DrazinData) -> GroupFormulaBlocks | NoGroupInverse:
-    return _gate(d, "thm33") or _transpose_dual(_thm31, d, Pattern.EF_I0)
+    return _run(_DrazinData(e, f, tol), "thm33")
 
 
 def cor34_group(
@@ -643,15 +667,10 @@ def cor34_group(
     """Group inverse of [[E, I], [F, 0]] under F^pi E F = 0.
 
     Existence as in :func:`thm33_group`; the :func:`thm33_group` result
-    pushed through the similarity P = [[E, I], [I, 0]]: P^-1 [[E, F], [I, 0]]^# P.
+    pushed back through the similarity T = [[0, I], [I, -E]]:
+    T [[E, F], [I, 0]]^# T^-1.
     """
-    d = _DrazinData(e, f, tol)
-    base = _gate(d, "cor34") or _thm33(d)
-    if isinstance(base, NoGroupInverse):
-        return base
-    n = e.shape[0]
-    ident, z = identity(n), zeros(n, n)
-    return _conjugate(base, block2x2(z, ident, ident, -e), block2x2(e, ident, ident, z), Pattern.EI_F0)
+    return _run(_DrazinData(e, f, tol), "cor34")
 
 
 def cor35_group(
@@ -663,8 +682,7 @@ def cor35_group(
     commutation hypothesis reduces to F^pi E F = 0 whenever F is group
     invertible, so the computation delegates to :func:`thm33_group`.
     """
-    d = _DrazinData(e, f, tol, lam)
-    return _gate(d, "cor35") or _thm33(d)
+    return _run(_DrazinData(e, f, tol, lam), "cor35")
 
 
 def thm41_group(
@@ -685,12 +703,10 @@ def thm41_group(
 
     The printed display itself is kept verbatim in the tests.
     """
-    return _thm41(_DrazinData(e, f, tol))
+    return _run(_DrazinData(e, f, tol), "thm41")
 
 
-def _thm41(d: _DrazinData) -> GroupFormulaBlocks | NoGroupInverse:
-    if no_group := _gate(d, "thm41"):
-        return no_group
+def _thm41(d: _DrazinData) -> GroupFormulaBlocks:
     f = d.f
     fs, fpi = d.F.drazin, d.F.idempotent
     efs = d.e @ fs
@@ -718,11 +734,7 @@ def cor42_group(
     printed display with its two off-diagonal blocks interchanged (see the
     README's Errata).
     """
-    return _cor42(_DrazinData(e, f, tol))
-
-
-def _cor42(d: _DrazinData) -> GroupFormulaBlocks | NoGroupInverse:
-    return _gate(d, "cor42") or _transpose_dual(_thm41, d, Pattern.EF_F0)
+    return _run(_DrazinData(e, f, tol), "cor42")
 
 
 def cor43_group(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> GroupFormulaBlocks:
@@ -738,14 +750,13 @@ def cor43_group(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> Group
     the delegated existence clause fails all the same, E E^pi is not 0 to
     working precision, and HypothesisError names EEpi and that clause.
     """
-    return _cor43(_DrazinData(e, f, tol))
+    return _run(_DrazinData(e, f, tol), "cor43")
 
 
 def _cor43(d: _DrazinData) -> GroupFormulaBlocks:
-    _gate(d, "cor43")
     fefpi, fpief = _judge(d, "FEFpi").passed, _judge(d, "FpiEF").passed
     # only the transposed machinery is sound for the F^pi E F family
-    out = _thm41(d) if fefpi else _cor42(d)
+    out = _run(d, "thm41" if fefpi else "cor42")
     if isinstance(out, NoGroupInverse):  # E E^pi = 0 makes existence automatic, so EEpi fails
         eepi = _judge(d, "EEpi")
         raise HypothesisError(
@@ -767,9 +778,7 @@ def cor44_group(
     Requires EF = lam FE (for the supplied lam) or EF^2 = FEF; the
     hypothesis reduces to the annihilator condition of :func:`cor43_group`.
     """
-    d = _DrazinData(e, f, tol, lam)
-    _gate(d, "cor44")
-    return _cor43(d)
+    return _run(_DrazinData(e, f, tol, lam), "cor44")
 
 
 # ---------------------------------------------------------------------------
@@ -783,16 +792,17 @@ class _Formula:
     A failing clause of ``hypotheses`` refuses the pair (HypothesisError);
     failing clauses of ``existence_clauses`` answer NoGroupInverse.
     Clauses that need no Drazin datum come first, so a refusal computes
-    no Drazin inverse it does not read.  ``body`` is the formula's
-    function of (E, F, tol), or of (E, F, lam, tol) for the formulas
-    whose hypotheses include the commutation clause EF2-FEF.
+    no Drazin inverse it does not read.  ``body`` computes the answer
+    from the holder alone once :func:`_run` has gated the row: a base row
+    evaluates its blocks, any other row maps the answer of its base row.
+    The additive lemmas' rows have no body.
     """
 
     pattern: Pattern | None
     kind: InverseKind
     hypotheses: tuple[str, ...]
     existence_clauses: tuple[str, ...]
-    body: Callable
+    body: Callable[[_DrazinData], BlockResult | GroupFormulaBlocks] | None
 
     @property
     def clauses(self) -> tuple[str, ...]:
@@ -814,26 +824,36 @@ class _Registry(dict):
 
 
 _ANTI = ("EFEFpi", "F2EFpi")
+_EXISTS, _EXISTS_T = ("FFpi", "EpiFpi"), ("FFpi", "FpiEpi")
+_GROUP = InverseKind.GROUP
 REGISTRY = _Registry({
-    "thm23": _Formula(Pattern.EI_F0, InverseKind.G_DRAZIN, ("EFE", "F2E"), (), thm23),
-    "thm25": _Formula(Pattern.EI_F0, InverseKind.G_DRAZIN, _ANTI, (), thm25),
-    "cor26": _Formula(Pattern.EF_I0, InverseKind.G_DRAZIN, _ANTI, (), cor26),
-    "thm27": _Formula(Pattern.EI_F0, InverseKind.DRAZIN, _ANTI, (), thm27),
-    "thm31": _Formula(Pattern.EI_F0, InverseKind.GROUP, ("FEFpi",), ("FFpi", "EpiFpi"), thm31_group),
-    "cor32": _Formula(Pattern.EF_I0, InverseKind.GROUP, ("FEFpi",), ("FFpi", "EpiFpi"), cor32_group),
-    "thm33": _Formula(Pattern.EF_I0, InverseKind.GROUP, ("FpiEF",), ("FFpi", "FpiEpi"), thm33_group),
-    "cor34": _Formula(Pattern.EI_F0, InverseKind.GROUP, ("FpiEF",), ("FFpi", "FpiEpi"), cor34_group),
-    "cor35": _Formula(Pattern.EF_I0, InverseKind.GROUP, ("EF2-FEF",), ("FFpi", "FpiEpi"), cor35_group),
-    "thm41": _Formula(Pattern.EF_F0, InverseKind.GROUP, ("FFpi", "FEFpi"), ("EEpiFpi",), thm41_group),
-    "cor42": _Formula(Pattern.EF_F0, InverseKind.GROUP, ("FFpi", "FpiEF"), ("FpiEpiE",), cor42_group),
-    "cor43": _Formula(Pattern.EF_F0, InverseKind.GROUP, ("EEpi", "FFpi", "FEFpi|FpiEF"), (), cor43_group),
-    "cor44": _Formula(Pattern.EF_F0, InverseKind.GROUP, ("EF2-FEF", "EEpi", "FFpi"), (), cor44_group),
+    "thm23": _Formula(Pattern.EI_F0, InverseKind.G_DRAZIN, ("EFE", "F2E"), (), _thm23),
+    "thm25": _Formula(Pattern.EI_F0, InverseKind.G_DRAZIN, _ANTI, (), _anti_triangular),
+    "cor26": _Formula(Pattern.EF_I0, InverseKind.G_DRAZIN, _ANTI, (), _similar("thm25", _to_ef_i0)),
+    "thm27": _Formula(Pattern.EI_F0, InverseKind.DRAZIN, _ANTI, (), _thm27),
+    "thm31": _Formula(Pattern.EI_F0, _GROUP, ("FEFpi",), _EXISTS, _thm31),
+    "cor32": _Formula(Pattern.EF_I0, _GROUP, ("FEFpi",), _EXISTS, _similar("thm31", _to_ef_i0)),
+    "thm33": _Formula(Pattern.EF_I0, _GROUP, ("FpiEF",), _EXISTS_T, _dual("thm31")),
+    "cor34": _Formula(Pattern.EI_F0, _GROUP, ("FpiEF",), _EXISTS_T, _similar("thm33", _to_ei_f0)),
+    "cor35": _Formula(Pattern.EF_I0, _GROUP, ("EF2-FEF",), _EXISTS_T, lambda d: _run(d, "thm33")),
+    "thm41": _Formula(Pattern.EF_F0, _GROUP, ("FFpi", "FEFpi"), ("EEpiFpi",), _thm41),
+    "cor42": _Formula(Pattern.EF_F0, _GROUP, ("FFpi", "FpiEF"), ("FpiEpiE",), _dual("thm41")),
+    "cor43": _Formula(Pattern.EF_F0, _GROUP, ("EEpi", "FFpi", "FEFpi|FpiEF"), (), _cor43),
+    "cor44": _Formula(Pattern.EF_F0, _GROUP, ("EF2-FEF", "EEpi", "FFpi"), (), lambda d: _run(d, "cor43")),
 })
 # The additive lemmas gate like the formulas; they are no formula id.
 _LEMMAS = {
-    "lemma22": _Formula(None, InverseKind.DRAZIN, ("PQP", "Q2P"), (), lemma22_additive),
-    "lemma24": _Formula(None, InverseKind.DRAZIN, ("PQ",), (), lemma24_additive),
+    "lemma22": _Formula(None, InverseKind.DRAZIN, ("PQP", "Q2P"), (), None),
+    "lemma24": _Formula(None, InverseKind.DRAZIN, ("PQ",), (), None),
 }
+
+
+def _holder(theorem_id: str, e: np.ndarray, f: np.ndarray, tol: float, lam: complex | None):
+    """The one holder that judges and runs ``theorem_id`` on (E, F); lam as in ``apply_formula``."""
+    row = REGISTRY[theorem_id]
+    if lam is not None and "EF2-FEF" not in row.clauses:
+        raise ValueError(f"{theorem_id} takes no lam: none of its hypotheses is EF = lam FE")
+    return _DrazinData(e, f, tol, lam)
 
 
 def apply_formula(
@@ -848,9 +868,4 @@ def apply_formula(
     ``lam`` is accepted only by the ids whose hypotheses include the
     commutation clause (cor35, cor44); any other id raises ValueError.
     """
-    row = REGISTRY[theorem_id]
-    if "EF2-FEF" in row.clauses:  # the commutation formulas take lam
-        return row.body(e, f, lam, tol)
-    if lam is not None:
-        raise ValueError(f"{theorem_id} takes no lam: none of its hypotheses is EF = lam FE")
-    return row.body(e, f, tol)
+    return _run(_holder(theorem_id, e, f, tol, lam), theorem_id)

@@ -247,6 +247,19 @@ def test_cmd_block_lam_refused_for_thm41(capsys):
     assert code == EXIT_IO and rep is None
 
 
+def test_cmd_block_computes_each_drazin_datum_once(monkeypatch, capsys):
+    # the condition report and the formula read one holder, so drazin(E)
+    # and drazin(F) run once each; two holders made four calls
+    import antitri.formulas as formulas
+
+    calls = []
+    real = formulas.drazin
+    monkeypatch.setattr(formulas, "drazin", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    code, rep = run_cli(capsys, "block", "--fixture", "example45", "--theorem", "thm41")
+    assert code == EXIT_OK and rep["conditions"]["overall"]
+    assert len(calls) <= 2, len(calls)
+
+
 def test_cmd_block_non_finite_lam_exits_3(tmp_path, capsys):
     e, f = tmp_path / "e.json", tmp_path / "f.json"
     pair = generate(GeneratorRecipe("cor35", 3, 4))

@@ -11,6 +11,7 @@ from antitri import (
     BlockPair,
     GeneratorRecipe,
     HypothesisError,
+    InfeasibleRecipeError,
     NoGroupInverse,
     Pattern,
     apply_formula,
@@ -46,7 +47,7 @@ from antitri import (
     zeros,
 )
 from antitri.core import DEFAULT_TOL, block2x2
-from antitri.formulas import _DrazinData, _gate, _judge
+from antitri.formulas import REGISTRY, _DrazinData, _judge
 from conftest import assert_close, jordan_nilpotent, random_complex, rel_err, unimodular_pair
 
 E45 = matrix([[1, 2], [0, -1]])
@@ -201,7 +202,7 @@ def _q_series(alpha, beta, gamma, alpha_d, m_cap: int):
     return eps, zeta, eta, theta
 
 
-def thm25_constructive_2n(d, theorem_id):
+def thm25_constructive_2n(d):
     """Theorem 2.5 along the 2n x 2n constructive route, returning (M^d, truncation).
 
     The symbols alpha = E F^pi, beta = F^pi E F F^d + F^pi and
@@ -211,7 +212,6 @@ def thm25_constructive_2n(d, theorem_id):
     """
     e, f = d.e, d.f
     n = e.shape[0]
-    _gate(d, theorem_id)
     rf = d.F
     fd, fpi, ind_f = rf.drazin, rf.idempotent, rf.index
     ffd = f @ fd
@@ -486,13 +486,14 @@ def test_thm27_equals_thm25():
 
 
 def test_theorem25_engine_matches_2n_route():
-    # the n x n engine against the 2n x 2n route it replaced; cor26 against
-    # that route's transfer [[E, I], [I, 0]] (N^d)^2 [[I, 0], [0, F]]
+    # the n x n engine against the 2n x 2n route it replaced; cor26, the
+    # similarity image of thm25, against that route's second derivation,
+    # the transfer [[E, I], [I, 0]] (N^d)^2 [[I, 0], [0, F]]
     for tid in ("thm25", "cor26", "thm27"):
         for seed in range(200):
             pair = generate(GeneratorRecipe(tid, 1 + seed % 4, seed))
             res = apply_formula(tid, pair.E, pair.F)
-            want, truncation = thm25_constructive_2n(_DrazinData(pair.E, pair.F, DEFAULT_TOL), tid)
+            want, truncation = thm25_constructive_2n(_DrazinData(pair.E, pair.F, DEFAULT_TOL))
             if tid == "cor26":
                 n = pair.E.shape[0]
                 left = block2x2(pair.E, identity(n), identity(n), zeros(n, n))
@@ -507,7 +508,7 @@ def test_theorem25_engine_tracks_2n_route_when_alpha_d_is_large():
     # the series runs on c = F^pi gamma, as the 2n route does: on gamma itself
     # (alpha^D)^5 times the residue 2.7e-19 of gamma^2 inflated the blocks 1e60-fold
     pair = generate(GeneratorRecipe("thm25", 4, 1205943267))
-    want, _ = thm25_constructive_2n(_DrazinData(pair.E, pair.F, DEFAULT_TOL), "thm25")
+    want, _ = thm25_constructive_2n(_DrazinData(pair.E, pair.F, DEFAULT_TOL))
     assert rel_err(thm25(pair.E, pair.F).assemble(), want) <= 1e-3
 
 
@@ -536,6 +537,20 @@ def test_cor26_f_zero(rng):
     res = cor26(e, zeros(2, 2))
     m = np.block([[e, zeros(2, 2)], [identity(2), zeros(2, 2)]])
     assert_close(res.assemble(), oracle_drazin(m), 1e-9)
+
+
+def test_cor26_fails_at_small_scale_only_where_thm25_does():
+    # cor26 maps the thm25 answer through the similarity on n x n blocks;
+    # the 2n x 2n transfer through (N^d)^2 that it replaced failed 20 of
+    # these seeds at 1e-6, against the 9 where thm25 itself fails
+    rejected = {"thm25": set(), "cor26": set()}
+    for seed in range(200):
+        for tid, seeds in rejected.items():
+            pair = generate(GeneratorRecipe(tid, 1 + seed % 4, seed))
+            small = BlockPair(pair.E * 1e-6, pair.F * 1e-6, pair.pattern)
+            if not compare(apply_formula(tid, small.E, small.F), small).passed:
+                seeds.add(seed)
+    assert rejected["cor26"] <= rejected["thm25"], rejected
 
 
 def test_cor26_generated_vs_oracle():
@@ -967,6 +982,58 @@ def test_one_route_per_call():
         out = apply_formula(tid, pair.E, pair.F)
         assert not isinstance(out, NoGroupInverse), tid
         assert set(getattr(out, "diagnostics", {})) <= {"hypothesis_family"}, tid
+
+
+PUBLIC = {
+    "thm23": thm23,
+    "thm25": thm25,
+    "cor26": cor26,
+    "thm27": thm27,
+    "thm31": thm31_group,
+    "cor32": cor32_group,
+    "thm33": thm33_group,
+    "cor34": cor34_group,
+    "cor35": cor35_group,
+    "thm41": thm41_group,
+    "cor42": cor42_group,
+    "cor43": cor43_group,
+    "cor44": cor44_group,
+}
+
+
+def _outcome(call):
+    """The answer, or the clause name of a HypothesisError."""
+    try:
+        return call()
+    except HypothesisError as err:
+        return err.clause
+
+
+def test_public_function_is_its_registry_row():
+    # each public formula and apply_formula run the same row on one holder:
+    # the same blocks bit for bit, the same NoGroupInverse, the same refusal
+    assert set(PUBLIC) == set(REGISTRY)
+    for tid, public in PUBLIC.items():
+        row, refused = REGISTRY[tid], 0
+        for violate in (None, *row.clauses):
+            for seed in range(3):
+                try:
+                    pair = generate(GeneratorRecipe(tid, 3, seed, violate=violate))
+                except InfeasibleRecipeError:
+                    continue
+                case = (tid, violate, seed)
+                got = _outcome(lambda: public(pair.E, pair.F))
+                want = _outcome(lambda: apply_formula(tid, pair.E, pair.F))
+                if isinstance(want, (str, NoGroupInverse)):
+                    refused += isinstance(want, str)
+                    assert got == want, case
+                    continue
+                assert type(got) is type(want) and got.pattern is want.pattern is row.pattern, case
+                assert got.kind is want.kind is row.kind, case
+                assert np.array_equal(got.assemble(), want.assemble()), case
+                assert getattr(got, "truncation", None) == getattr(want, "truncation", None), case
+                assert getattr(got, "diagnostics", None) == getattr(want, "diagnostics", None), case
+        assert refused, tid
 
 
 def test_public_names_resolve():
