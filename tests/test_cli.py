@@ -254,7 +254,12 @@ def test_cmd_block_computes_each_drazin_datum_once(monkeypatch, capsys):
 
     calls = []
     real = formulas.drazin
-    monkeypatch.setattr(formulas, "drazin", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(formulas, "drazin", counted)
     code, rep = run_cli(capsys, "block", "--fixture", "example45", "--theorem", "thm41")
     assert code == EXIT_OK and rep["conditions"]["overall"]
     assert len(calls) <= 2, len(calls)

@@ -268,14 +268,3 @@ def test_gate_and_report_give_one_verdict():
                             assert out.failed and set(out.failed) <= failing, case
                         else:
                             assert report.overall, case
-
-
-def test_check_conditions_refuses_lam_as_apply_formula_does():
-    # a lam for an id without the commutation clause was reported on quietly
-    from antitri import apply_formula
-
-    pair = example_45()
-    for call in (check_conditions, lambda e, f, tid, lam: apply_formula(tid, e, f, lam=lam)):
-        with pytest.raises(ValueError, match="thm41 takes no lam"):
-            call(pair.E, pair.F, "thm41", lam=2)
-    assert check_conditions(pair.E, pair.F, "cor44", lam=2).entry("EF-lFE|EF2-FEF").passed

@@ -1075,6 +1075,9 @@ def test_lam_is_refused_without_commutation_clause():
 
     with pytest.raises(ValueError, match="lam"):
         apply_formula("thm41", E45, F45, lam=5)
+    # check_conditions builds its holder in the same place; it used to report quietly
+    with pytest.raises(ValueError, match="thm41 takes no lam"):
+        check_conditions(E45, F45, "thm41", lam=5)
     assert not isinstance(apply_formula("cor44", E45, F45, lam=5), NoGroupInverse)
 
 
