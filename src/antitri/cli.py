@@ -73,6 +73,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"malformed matrix object: {err}") from None
+    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
+        raise InputError("malformed matrix object: data must be a list of rows")
     if rows < 1 or cols < 1:
         raise InputError("rows and cols must be positive")
     if len(data) != rows or any(len(r) != cols for r in data):

@@ -35,12 +35,14 @@ thm25 takes the constructive route M = P + Q, because the printed n x n
 recipe of Theorem 2.5 is misprinted (see the README's Errata): Q^d from
 the n x n symbols S, lam, sig, g, d, X, Y, Z of ``_anti_triangular``,
 P^pi = diag(F^pi, F^pi) exactly, and only the outer additive split in
-2n x 2n, summed by Horner.  The printed displays are pinned against
+2n x 2n, one ``_power_sum``.  The printed displays are pinned against
 these routes by the tests, not recomputed here.
 
-Every series is truncated at a proven vanishing point (any term
-containing X^i X^pi dies once i >= ind(X)); indices are computed once
-and loops are capped, terms are never tested for smallness.
+Every truncated series, sum_{i < k} A^i C B^i, is one call of
+``_power_sum``, the one series primitive, summed by Horner.  The count k
+is a proven vanishing point (any term containing X^i X^pi dies once
+i >= ind(X)) read off indices computed once; terms are never tested for
+smallness.
 
 ``drazin(E)`` and ``drazin(F)`` run at most once per holder, on first
 use.  Each clause is one expression in ``_CLAUSES``; one judge,
@@ -65,7 +67,6 @@ from .core import (
     block2x2,
     frobenius_norm,
     identity,
-    matrix_power,
     require_finite,
     require_tol,
     split2x2,
@@ -322,9 +323,14 @@ def _run(d: _DrazinData, theorem_id: str) -> BlockResult | GroupFormulaBlocks | 
     return _gate(d, theorem_id, row) or row.body(d)
 
 
-def _vanish_count(ind: int, start: int, step: int = 2) -> int:
-    """Number of i >= 0 with start + step*i < ind (terms X^(start+step*i) X^pi)."""
-    return max(0, math.ceil((ind - start) / step))
+def _power_sum(a: np.ndarray, c: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
+    """sum_{i < count} a^i c b^i: r = c, then r <- c + a r b; zeros of c's shape if count <= 0."""
+    if count <= 0:
+        return zeros(*c.shape)
+    r = c
+    for _ in range(count - 1):
+        r = c + a @ r @ b
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -345,59 +351,40 @@ def lemma21_triangular(
     if c.shape != (b.shape[0], a.shape[1]):
         raise ShapeError(f"C must be {b.shape[0]} x {a.shape[1]}, got {c.shape}")
     require_finite(c)
-    ra = drazin(a, tol)
-    rb = drazin(b, tol)
-    ad, api = ra.drazin, ra.idempotent
-    bd, bpi = rb.drazin, rb.idempotent
-    z = -bd @ c @ ad
-    for i in range(ra.index):
-        z = z + matrix_power(bd, i + 2) @ c @ matrix_power(a, i) @ api
-    for i in range(rb.index):
-        z = z + matrix_power(b, i) @ bpi @ c @ matrix_power(ad, i + 2)
-    return BlockResult(
-        tl=ad,
-        tr=zeros(a.shape[0], b.shape[1]),
-        bl=z,
-        br=bd,
-        kind=InverseKind.G_DRAZIN,
-        pattern=None,
-        truncation={"a_terms": ra.index, "b_terms": rb.index},
+    ra, rb = drazin(a, tol), drazin(b, tol)
+    ad, bd = ra.drazin, rb.drazin
+    z = (
+        bd @ bd @ _power_sum(bd, c, a, ra.index) @ ra.idempotent
+        + rb.idempotent @ _power_sum(b, c, ad, rb.index) @ ad @ ad
+        - bd @ c @ ad
     )
+    truncation = {"a_terms": ra.index, "b_terms": rb.index}
+    return BlockResult(ad, zeros(a.shape[0], b.shape[1]), z, bd, InverseKind.G_DRAZIN, None, truncation)
 
 
 def lemma22_additive(p: np.ndarray, q: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """(P+Q)^D under PQP = 0 and Q^2 P = 0 (checked, tolerance-relative)."""
-    if p.shape != q.shape or p.shape[0] != p.shape[1]:
-        raise ShapeError("lemma22_additive requires equal square shapes")
-    d = _DrazinData(p, q, tol)
+    """(P+Q)^D under PQP = 0 and Q^2 P = 0 (checked, tolerance-relative).
+
+    The P^(i+1) P^pi and Q P^i P^pi series are one sum: P^(ind P) P^pi = 0.
+    """
+    d = _DrazinData(p, q, tol)  # ShapeError unless P and Q are square of equal size
     _gate(d, "lemma22", _LEMMAS["lemma22"])
-    rp, rq = d.E, d.F
-    pd, ppi = rp.drazin, rp.idempotent
-    qd, qpi = rq.drazin, rq.idempotent
-    s = p + q
-    out = -s @ pd @ qd
-    for i in range(rq.index):
-        out = out + s @ matrix_power(pd, i + 2) @ matrix_power(q, i) @ qpi
-    for i in range(max(0, rp.index - 1)):
-        out = out + matrix_power(p, i + 1) @ ppi @ matrix_power(qd, i + 2)
-    for i in range(rp.index):
-        out = out + q @ matrix_power(p, i) @ ppi @ matrix_power(qd, i + 2)
-    return out
+    pd, qd = d.E.drazin, d.F.drazin
+    return (p + q) @ (
+        pd @ pd @ _power_sum(pd, d.F.idempotent, q, d.F.index)
+        + d.E.idempotent @ _power_sum(p, qd @ qd, qd, d.E.index)
+        - pd @ qd
+    )
 
 
 def lemma24_additive(p: np.ndarray, q: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """(P+Q)^D under PQ = 0 (checked, tolerance-relative)."""
-    if p.shape != q.shape or p.shape[0] != p.shape[1]:
-        raise ShapeError("lemma24_additive requires equal square shapes")
-    d = _DrazinData(p, q, tol)
+    d = _DrazinData(p, q, tol)  # ShapeError unless P and Q are square of equal size
     _gate(d, "lemma24", _LEMMAS["lemma24"])
-    rp, rq = d.E, d.F
-    out = zeros(p.shape[0], p.shape[0])
-    for i in range(rq.index):
-        out = out + matrix_power(q, i) @ rq.idempotent @ matrix_power(rp.drazin, i + 1)
-    for i in range(rp.index):
-        out = out + matrix_power(rq.drazin, i + 1) @ matrix_power(p, i) @ rp.idempotent
-    return out
+    pd, qd = d.E.drazin, d.F.drazin
+    return _power_sum(q, d.F.idempotent @ pd, pd, d.F.index) + _power_sum(
+        qd, qd @ d.E.idempotent, p, d.E.index
+    )
 
 
 def cline(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -418,51 +405,29 @@ def thm23(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult
 
 
 def _thm23(d: _DrazinData) -> BlockResult:
+    """Theorem 2.3's printed blocks regrouped into two series; the display is pinned in the tests.
+
+    W = sum_{i < ind F} (E^D)^(2i+1) F^i F^pi and U = sum_{i < ind E / 2} E^(2i) E^pi (F^D)^(i+2);
+    T1 = E U and T2 = E T1 shift U by E; its count covers them, as E^(ind E) E^pi = 0.  Then
+    Delta = F ((E^D)^2 W + T1 - E^D F^D),  Lambda = E E^pi F^D + W + E T2 + Delta,
+    Gamma = F (E^pi F^D + E^D W + T2),
+    Sigma = E^D W - E E^D F^D + T2 + F ((E^D)^2 (E^D W - F^D) + U).
+    """
     e, f = d.e, d.f
-    re_, rf = d.E, d.F
-    ed, epi, ind_e = re_.drazin, re_.idempotent, re_.index
-    fd, fpi, ind_f = rf.drazin, rf.idempotent, rf.index
-    n = e.shape[0]
-    lead = identity(n) + f @ ed @ ed
-
-    lam = e @ epi @ fd - f @ ed @ fd
-    sig = -(e @ ed @ fd) - f @ ed @ ed @ fd
-    gam = f @ epi @ fd
-    delt = -f @ ed @ fd
-
-    for i in range(ind_f):
-        fi_fpi = matrix_power(f, i) @ fpi
-        ed_odd = matrix_power(ed, 2 * i + 1)
-        lam = lam + lead @ ed_odd @ fi_fpi
-        sig = sig + lead @ ed_odd @ ed @ fi_fpi
-        gam = gam + f @ ed_odd @ ed @ fi_fpi
-        delt = delt + f @ ed_odd @ ed @ ed @ fi_fpi
-
-    def _epi_terms(start: int):
-        for i in range(_vanish_count(ind_e, start)):
-            yield i, matrix_power(e, start + 2 * i) @ epi @ matrix_power(fd, i + 2)
-
-    for i, t in _epi_terms(3):
-        lam = lam + t
-    for i, t in _epi_terms(1):
-        lam = lam + f @ t
-    for i, t in _epi_terms(2):
-        sig = sig + t
-        gam = gam + f @ t
-    for i, t in _epi_terms(0):
-        sig = sig + f @ t
-    for i, t in _epi_terms(1):
-        delt = delt + f @ t
-
-    return BlockResult(
-        tl=lam,
-        tr=sig,
-        bl=gam,
-        br=delt,
-        kind=InverseKind.G_DRAZIN,
-        pattern=Pattern.EI_F0,
-        truncation={"f_terms": ind_f, "ind_e": ind_e},
-    )
+    ed, epi, ind_e = d.E.drazin, d.E.idempotent, d.E.index
+    fd, fpi, ind_f = d.F.drazin, d.F.idempotent, d.F.index
+    ed2 = ed @ ed
+    w = _power_sum(ed2, ed @ fpi, f, ind_f)
+    u = _power_sum(e @ e, epi @ fd @ fd, fd, (ind_e + 1) // 2)
+    t1 = e @ u
+    t2 = e @ t1
+    edfd, edw, epifd = ed @ fd, ed @ w, epi @ fd
+    delt = f @ (ed2 @ w + t1 - edfd)
+    lam = e @ epifd + w + e @ t2 + delt
+    sig = edw - e @ edfd + t2 + f @ (ed2 @ (edw - fd) + u)
+    gam = f @ (epifd + edw + t2)
+    truncation = {"f_terms": ind_f, "ind_e": ind_e}
+    return BlockResult(lam, sig, gam, delt, InverseKind.G_DRAZIN, Pattern.EI_F0, truncation)
 
 
 def _anti_triangular(d: _DrazinData) -> BlockResult:
@@ -472,8 +437,8 @@ def _anti_triangular(d: _DrazinData) -> BlockResult:
     group-invertible summand, with P^pi = diag(F^pi, F^pi) exactly, and
     Q = [[alpha + b1, F^pi], [gamma, 0]] with alpha = E F^pi,
     b1 = F^pi E F F^d and gamma = F F^pi.  Q^d comes from n x n symbols:
-    with c = F^pi gamma and S = sum_{i <= m} (alpha^d)^(2i+1) c^i (by
-    Horner, in the form S <- alpha^d + (alpha^d)^2 S c),
+    with c = F^pi gamma and S = sum_{i <= m} (alpha^d)^(2i+1) c^i (one
+    ``_power_sum`` of (alpha^d)^2, alpha^d and c),
 
         lam = S + c (alpha^d)^2 S,       sig = alpha^d S + c (alpha^d)^3 S,
         g = c alpha^d S,                 d = c (alpha^d)^2 S,
@@ -483,15 +448,14 @@ def _anti_triangular(d: _DrazinData) -> BlockResult:
     Q^d = [[(alpha lam + g) lam + (alpha sig + d) g + X b1, X F^pi],
            [gamma Y + gamma Z b1, gamma Z F^pi]].  The outer split
     M^d = Q^d P^pi + Q^pi P^d + sum_{i=1..k} Q^i Q^pi (P^d)^(i+1) is the
-    one 2n x 2n step, summed by Horner as Q^d P^pi + H P^d with H = Q^pi
-    taken k times through H <- Q^pi + Q H P^d.  The caps are
+    one 2n x 2n step, Q^d P^pi + H P^d with
+    H = sum_{i <= k} Q^i Q^pi (P^d)^i, one ``_power_sum``.  The caps are
     m = ind(F), since c^i = F^i F^pi = 0 for i >= ind F, and
     k = ind(alpha) + 2 ind(F).
     """
     e, f = d.e, d.f
     n = e.shape[0]
-    rf = d.F
-    fd, fpi, ind_f = rf.drazin, rf.idempotent, rf.index
+    fd, fpi, ind_f = d.F.drazin, d.F.idempotent, d.F.index
     ffd = f @ fd
 
     alpha = e @ fpi
@@ -503,9 +467,7 @@ def _anti_triangular(d: _DrazinData) -> BlockResult:
     ad, gamma = ra.drazin, f @ fpi
     c = fpi @ gamma  # = gamma, but without the rounding residue that a large alpha^d amplifies
     ad2 = ad @ ad
-    s = ad
-    for _ in range(m_cap):
-        s = ad + ad2 @ s @ c
+    s = _power_sum(ad2, ad, c, m_cap + 1)
     ads = ad @ s
     g = c @ ads
     dd = c @ (ad @ ads)
@@ -522,17 +484,10 @@ def _anti_triangular(d: _DrazinData) -> BlockResult:
     z = zeros(n, n)
     q = block2x2(alpha + b1, fpi, gamma, z)
     pd = block2x2(z, fd, ffd, -ffd @ e @ fd)
-    qpi = identity(2 * n) - q @ qd
-    h = qpi
-    for _ in range(k_cap):
-        h = qpi + q @ h @ pd
+    h = _power_sum(q, identity(2 * n) - q @ qd, pd, k_cap + 1)
     md = qd @ block2x2(fpi, z, z, fpi) + h @ pd
-    return BlockResult(
-        *split2x2(md, n, n),
-        kind=InverseKind.G_DRAZIN,
-        pattern=Pattern.EI_F0,
-        truncation={"k": k_cap, "m": m_cap},
-    )
+    truncation = {"k": k_cap, "m": m_cap}
+    return BlockResult(*split2x2(md, n, n), InverseKind.G_DRAZIN, Pattern.EI_F0, truncation)
 
 
 def thm25(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult:
@@ -564,11 +519,6 @@ def cor26(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult
 
 # ---------------------------------------------------------------------------
 # maps between the answers of the three patterns
-
-
-def _transpose_blocks(gamma, delta, lam, xi):
-    """Blocks of X^T for X = [[Gamma, Delta], [Lambda, Xi]]."""
-    return gamma.T, lam.T, delta.T, xi.T
 
 
 def _to_ef_i0(e, gamma, delta, lam, xi):
@@ -607,7 +557,8 @@ def _similar(base_id: str, blocks_map):
 
 def _dual(base_id: str):
     """Body of a transpose dual: the base row's answer on (E^T, F^T), transposed."""
-    return lambda d: _mapped(_run(d.T, base_id), _transpose_blocks)
+    # X^T for X = [[Gamma, Delta], [Lambda, Xi]] is [[Gamma^T, Lambda^T], [Delta^T, Xi^T]]
+    return lambda d: _mapped(_run(d.T, base_id), lambda g, dl, lm, x: (g.T, lm.T, dl.T, x.T))
 
 
 # ---------------------------------------------------------------------------
@@ -633,9 +584,7 @@ def _thm31(d: _DrazinData) -> GroupFormulaBlocks:
     delta = fs + edfpi @ edfpi - edfpi @ e @ fs
     lam = f @ fs
     xi = -f @ fs @ e @ fs
-    return GroupFormulaBlocks(
-        Gamma=gamma, Delta=delta, Lambda=lam, Xi=xi, pattern=Pattern.EI_F0
-    )
+    return GroupFormulaBlocks(Gamma=gamma, Delta=delta, Lambda=lam, Xi=xi, pattern=Pattern.EI_F0)
 
 
 def cor32_group(

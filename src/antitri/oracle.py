@@ -26,7 +26,6 @@ class ComparisonVerdict:
     tolerance: float
     passed: bool
     oracle_index: int
-    formula_kind: InverseKind
     axioms: ConditionReport
 
 
@@ -86,7 +85,6 @@ def compare(
         tolerance=tol,
         passed=rel <= tol,
         oracle_index=oracle.index,
-        formula_kind=formula.kind,
         axioms=axioms,
     )
 

@@ -79,6 +79,16 @@ def test_cmd_drazin_bad_input(tmp_path, capsys):
     assert main(["drazin", str(q)]) == EXIT_IO
 
 
+@pytest.mark.parametrize("data", [5, [5]], ids=["number", "list_of_numbers"])
+def test_cmd_drazin_data_not_a_list_of_rows_is_an_input_error(tmp_path, capsys, data):
+    # len() of a non-list data raised TypeError, which exited 1 with a traceback
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"rows": 1, "cols": 1, "data": data}))
+    assert main(["drazin", str(p)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == "" and "malformed matrix object" in captured.err
+
+
 def test_cmd_drazin_unrepresentable_inverse_is_an_input_error(tmp_path, capsys):
     # A^D = 2^1072 J / 4 overflows float64; the report must not carry inf
     p = tmp_path / "tiny.json"

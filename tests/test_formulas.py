@@ -47,7 +47,7 @@ from antitri import (
     zeros,
 )
 from antitri.core import DEFAULT_TOL, block2x2
-from antitri.formulas import REGISTRY, _DrazinData, _judge
+from antitri.formulas import REGISTRY, _DrazinData, _judge, _power_sum
 from conftest import assert_close, jordan_nilpotent, random_complex, rel_err, unimodular_pair
 
 E45 = matrix([[1, 2], [0, -1]])
@@ -87,6 +87,59 @@ def pairs_for(theorem_id, count, nmax=4, seed=0):
 def _drazin_data(e, f):
     rf, re_ = drazin(f), drazin(e)
     return rf.drazin, rf.idempotent, re_.drazin, re_.idempotent
+
+
+def thm23_display(e, f):
+    """Printed blocks of Theorem 2.3 (EFE = F^2 E = 0, [[E, I], [F, 0]]), summed term by term."""
+    re_, rf = drazin(e), drazin(f)
+    ed, epi, ind_e = re_.drazin, re_.idempotent, re_.index
+    fd, fpi, ind_f = rf.drazin, rf.idempotent, rf.index
+    n = e.shape[0]
+    lead = identity(n) + f @ ed @ ed
+
+    lam = e @ epi @ fd - f @ ed @ fd
+    sig = -(e @ ed @ fd) - f @ ed @ ed @ fd
+    gam = f @ epi @ fd
+    delt = -f @ ed @ fd
+
+    for i in range(ind_f):
+        fi_fpi = matrix_power(f, i) @ fpi
+        ed_odd = matrix_power(ed, 2 * i + 1)
+        lam = lam + lead @ ed_odd @ fi_fpi
+        sig = sig + lead @ ed_odd @ ed @ fi_fpi
+        gam = gam + f @ ed_odd @ ed @ fi_fpi
+        delt = delt + f @ ed_odd @ ed @ ed @ fi_fpi
+
+    def _epi_terms(start: int):
+        # the terms E^(start + 2i) E^pi (F^D)^(i+2) that do not vanish: start + 2i < ind E
+        for i in range(max(0, math.ceil((ind_e - start) / 2))):
+            yield i, matrix_power(e, start + 2 * i) @ epi @ matrix_power(fd, i + 2)
+
+    for i, t in _epi_terms(3):
+        lam = lam + t
+    for i, t in _epi_terms(1):
+        lam = lam + f @ t
+    for i, t in _epi_terms(2):
+        sig = sig + t
+        gam = gam + f @ t
+    for i, t in _epi_terms(0):
+        sig = sig + f @ t
+    for i, t in _epi_terms(1):
+        delt = delt + f @ t
+
+    return block2x2(lam, sig, gam, delt)
+
+
+# (seed, n) of generate(GeneratorRecipe("thm23", n, seed)), n = 2 + seed % 7, whose
+# E and F both have index 2: 28 of seeds 0-2999 are; these are the first few
+THM23_IND2 = ((81, 6), (169, 3), (290, 5), (318, 5), (557, 6), (1353, 4), (1867, 7))
+
+
+def thm23_ind2_pairs():
+    for seed, n in THM23_IND2:
+        pair = generate(GeneratorRecipe("thm23", n, seed))
+        assert drazin(pair.E).index == drazin(pair.F).index == 2, (seed, n)
+        yield pair
 
 
 def cor32_display(e, f):
@@ -295,6 +348,18 @@ def thm25_statement(e, f):
 # triangular and additive building blocks
 
 
+def test_power_sum_is_the_truncated_series():
+    rng = np.random.default_rng(5)
+    a, c, b = random_complex(rng, 3), random_complex(rng, 3, 2), random_complex(rng, 2)
+    for count in (0, -1):
+        empty = _power_sum(a, c, b, count)
+        assert empty.shape == (3, 2) and not empty.any()
+    assert np.array_equal(_power_sum(a, c, b, 1), c)
+    for count in range(2, 7):
+        want = sum(matrix_power(a, i) @ c @ matrix_power(b, i) for i in range(count))
+        assert rel_err(_power_sum(a, c, b, count), want) <= 1e-12, count
+
+
 def test_lemma21_invertible_over_zero(rng):
     a = matrix([[2, 1], [0, 1j]])
     c = random_complex(rng, 2)
@@ -331,8 +396,9 @@ def test_lemma22_degenerate():
 
 
 def test_lemma22_generated():
-    # thm23 pairs satisfy exactly the split hypotheses PQP = Q^2 P = 0
-    for pair in pairs_for("thm23", 25, seed=400):
+    # thm23 pairs satisfy exactly the split hypotheses PQP = Q^2 P = 0; at ind P = 2
+    # the one P-series carries the P^(i+1) P^pi and Q P^i P^pi terms past their first
+    for pair in [*pairs_for("thm23", 25, seed=400), *thm23_ind2_pairs()]:
         out = lemma22_additive(pair.E, pair.F)
         assert rel_err(out, oracle_drazin(pair.E + pair.F)) <= 1e-9
 
@@ -365,6 +431,21 @@ def test_lemma24_generated(rng):
         )
         out = lemma24_additive(p, q)
         assert rel_err(out, oracle_drazin(p + q)) <= 1e-9
+
+
+def test_lemma24_at_index_two_and_three(rng):
+    # P = S diag(J2, 2, 0, 0, 0) S^-1 and Q = S [[0, 0], [X, diag(J2, d)]] S^-1:
+    # PQ = 0, ind P = 2, and X couples Q's nilpotent parts to ind Q = 3
+    z = zeros(3, 3)
+    a, b = zeros(3, 3), zeros(3, 3)
+    a[:2, :2] = b[:2, :2] = jordan_nilpotent(2)
+    a[2, 2], b[2, 2] = 2, -1 + 1j
+    for _ in range(5):
+        s, s_inv = unimodular_pair(rng, 6)
+        p = s @ np.block([[a, z], [z, z]]) @ s_inv
+        q = s @ np.block([[z, z], [random_complex(rng, 3), b]]) @ s_inv
+        assert (drazin(p).index, drazin(q).index) == (2, 3)
+        assert rel_err(lemma24_additive(p, q), oracle_drazin(p + q)) <= 1e-9
 
 
 def test_cline_examples(rng):
@@ -404,6 +485,14 @@ def test_thm23_generated():
     for pair in pairs_for("thm23", 30, seed=50):
         res = thm23(pair.E, pair.F)
         assert rel_err(res.assemble(), oracle_drazin(assemble(pair))) <= 1e-9
+
+
+def test_thm23_blocks_are_the_printed_display_regrouped():
+    # the body sums two series where the display sums term by term; the terms
+    # E^(ind E) E^pi (...) it adds vanish, so the two differ by rounding only
+    for pair in [*pairs_for("thm23", 200), *thm23_ind2_pairs()]:
+        got = thm23(pair.E, pair.F).assemble()
+        assert rel_err(got, thm23_display(pair.E, pair.F)) <= 1e-12
 
 
 def test_thm23_hypothesis_gate(rng):
@@ -869,6 +958,10 @@ def test_blockpair_shape_validation():
         BlockPair(E=zeros(2, 2), F=zeros(3, 3))
     with pytest.raises(ShapeError):
         BlockPair(E=zeros(2, 3), F=zeros(2, 3))
+    for lemma in (lemma22_additive, lemma24_additive):  # their holder is a BlockPair of (P, Q)
+        for p, q in ((zeros(2, 2), zeros(3, 3)), (zeros(2, 3), zeros(2, 3))):
+            with pytest.raises(ShapeError):
+                lemma(p, q)
 
 
 def test_cor43_hypothesis_family_arbitration():
@@ -1053,6 +1146,31 @@ def test_library_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_formulas_sum_every_series_through_power_sum():
+    # one series primitive: no matrix_power and no range loop outside _power_sum
+    path = pathlib.Path(__file__).resolve().parents[1] / "src" / "antitri" / "formulas.py"
+    tree = ast.parse(path.read_text())
+
+    def range_loops(node):
+        return {
+            loop.iter.lineno
+            for loop in ast.walk(node)
+            if isinstance(loop, (ast.For, ast.comprehension))
+            and isinstance(loop.iter, ast.Call)
+            and getattr(loop.iter.func, "id", None) == "range"
+        }
+
+    powers = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "matrix_power")
+        or (isinstance(node, ast.alias) and node.name == "matrix_power")
+    ]
+    helper = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_power_sum"]
+    assert len(helper) == 1 and not powers, powers
+    assert not range_loops(tree) - range_loops(helper[0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
