@@ -8,7 +8,9 @@ Matrices travel in a JSON format with explicit [re, im] entry pairs:
 Commands: ``drazin`` (generalized inverse of one matrix), ``block``
 (run a block formula, optionally verified against the oracle), ``gen``
 (write a generated instance pair), ``sweep`` (batch formula-vs-oracle
-runs).  Reports are emitted to stdout as JSON.
+runs).  Each command returns (exit code, command echo, inputs digest,
+fields); :func:`main` wraps them in one report, {"command",
+"inputs_digest", **fields, "wall_time_s"}, written to stdout as JSON.
 
 Exit codes: 0 success/verified; 1 hypothesis or verification failure;
 2 no-group-inverse outcome; 3 I/O, malformed input, a usage error, or
@@ -46,7 +48,7 @@ from .formulas import (
     _holder,
     _run,
 )
-from .geninv import drazin
+from .geninv import drazin, verify_drazin_axioms
 from .oracle import COMPARE_TOL, compare
 from .sweep import run_sweep
 
@@ -110,13 +112,6 @@ def _digest(*mats: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def _report(args_echo, digest, started, **fields) -> dict:
-    rep = {"command": args_echo, "inputs_digest": digest}
-    rep.update(fields)
-    rep["wall_time_s"] = time.perf_counter() - started
-    return rep
-
-
 def _emit(rep: dict) -> None:
     """Write the report as strict JSON; ValueError, before any output, on a NaN or inf."""
     text = json.dumps(rep, indent=2, default=_json_default, allow_nan=False)
@@ -144,26 +139,19 @@ def _result_json(result) -> dict:
     }
 
 
-def cmd_drazin(args) -> int:
-    started = time.perf_counter()
+def cmd_drazin(args):
     a = read_matrix(args.input)
     if a.shape[0] != a.shape[1]:
         raise InputError(f"drazin needs a square matrix, got {a.shape}")
     r = drazin(a, args.tol)
-    _emit(
-        _report(
-            ["drazin", args.input],
-            _digest(a),
-            started,
-            result={
-                "drazin": matrix_to_json(r.drazin),
-                "index": r.index,
-                "idempotent": matrix_to_json(r.idempotent),
-                "residuals": list(r.residuals),
-            },
-        )
-    )
-    return EXIT_OK
+    axioms = verify_drazin_axioms(a, r.drazin, r.index, args.tol)
+    result = {
+        "drazin": matrix_to_json(r.drazin),
+        "index": r.index,
+        "idempotent": matrix_to_json(r.idempotent),
+        "residuals": [e.residual for e in axioms.entries],
+    }
+    return EXIT_OK, ["drazin", args.input], _digest(a), {"result": result}
 
 
 def _parse_lam(text):
@@ -175,8 +163,7 @@ def _parse_lam(text):
         raise InputError(f"cannot parse --lam value {text!r}") from None
 
 
-def cmd_block(args) -> int:
-    started = time.perf_counter()
+def cmd_block(args):
     if args.fixture == "example45":
         pair = example_45()
         e, f = pair.E, pair.F
@@ -196,20 +183,11 @@ def cmd_block(args) -> int:
     try:
         result = _run(d, theorem)
     except HypothesisError as err:
-        _emit(
-            _report(
-                echo,
-                digest,
-                started,
-                conditions=conditions.to_dict(),
-                error={"hypothesis": str(err), "residuals": err.residuals},
-            )
-        )
-        return EXIT_FAIL
+        error = {"hypothesis": str(err), "residuals": err.residuals}
+        return EXIT_FAIL, echo, digest, {"conditions": conditions.to_dict(), "error": error}
     fields = {"conditions": conditions.to_dict(), "result": _result_json(result)}
     if isinstance(result, NoGroupInverse):
-        _emit(_report(echo, digest, started, **fields))
-        return EXIT_NO_GROUP
+        return EXIT_NO_GROUP, echo, digest, fields
     if args.verify:
         verdict = compare(
             result, BlockPair(E=e, F=f, pattern=pattern), args.compare_tol, args.tol
@@ -221,14 +199,11 @@ def cmd_block(args) -> int:
             "oracle_index": verdict.oracle_index,
             "axioms": verdict.axioms.to_dict(),
         }
-        _emit(_report(echo, digest, started, **fields))
-        return EXIT_OK if verdict.passed else EXIT_FAIL
-    _emit(_report(echo, digest, started, **fields))
-    return EXIT_OK
+        return (EXIT_OK if verdict.passed else EXIT_FAIL), echo, digest, fields
+    return EXIT_OK, echo, digest, fields
 
 
-def cmd_gen(args) -> int:
-    started = time.perf_counter()
+def cmd_gen(args):
     recipe = GeneratorRecipe(
         theorem_id=args.theorem, dimension=args.n, seed=args.seed, violate=args.violate
     )
@@ -239,20 +214,15 @@ def cmd_gen(args) -> int:
     write_matrix(args.e_out, pair.E)
     write_matrix(args.f_out, pair.F)
     conditions = check_conditions(pair.E, pair.F, args.theorem, args.tol)
-    _emit(
-        _report(
-            ["gen", args.theorem, f"n={args.n}", f"seed={args.seed}", f"violate={args.violate}"],
-            _digest(pair.E, pair.F),
-            started,
-            conditions=conditions.to_dict(),
-            outputs={"E": args.e_out, "F": args.f_out, "pattern": pair.pattern.value},
-        )
-    )
-    return EXIT_OK
+    echo = ["gen", args.theorem, f"n={args.n}", f"seed={args.seed}", f"violate={args.violate}"]
+    fields = {
+        "conditions": conditions.to_dict(),
+        "outputs": {"E": args.e_out, "F": args.f_out, "pattern": pair.pattern.value},
+    }
+    return EXIT_OK, echo, _digest(pair.E, pair.F), fields
 
 
-def cmd_sweep(args) -> int:
-    started = time.perf_counter()
+def cmd_sweep(args):
     ids = THEOREM_IDS if args.theorem == "all" else (args.theorem,)
     summaries = []
     ok = True
@@ -275,8 +245,7 @@ def cmd_sweep(args) -> int:
                 "pass": s.passed,
             }
         )
-    _emit(_report(["sweep"] + list(ids), "-", started, summary=summaries))
-    return EXIT_OK if ok else EXIT_FAIL
+    return (EXIT_OK if ok else EXIT_FAIL), ["sweep", *ids], "-", {"summary": summaries}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -335,8 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        code, echo, digest, fields = args.func(args)
+        wall = time.perf_counter() - started
+        _emit({"command": echo, "inputs_digest": digest, **fields, "wall_time_s": wall})
+        return code
     except (InputError, ValueError, OverflowError) as err:  # ShapeError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO

@@ -65,7 +65,7 @@ def check_conditions(
 
 def _row_report(d: _DrazinData, theorem_id: str) -> ConditionReport:
     """The verdict on every clause of ``theorem_id``'s row, judged on the holder ``d``."""
-    return ConditionReport.build(_judge(d, name) for name in REGISTRY[theorem_id].clauses)
+    return ConditionReport(tuple(_judge(d, name) for name in REGISTRY[theorem_id].clauses))
 
 
 @dataclass(frozen=True)

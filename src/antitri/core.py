@@ -72,7 +72,7 @@ def require_finite(*arrays: np.ndarray) -> None:
 def require_tol(tol: float) -> None:
     """Raise ValueError unless 0 < tol < inf (a NaN tol fails too)."""
     if not 0 < tol < math.inf:
-        raise ValueError("rank_factorize requires a finite tol > 0")
+        raise ValueError(f"expected a finite tol > 0, got tol={tol}")
 
 
 def zeros(rows: int, cols: int | None = None) -> np.ndarray:

@@ -213,7 +213,7 @@ class _DrazinData:
 
 
 def _transposed(r: DrazinResult) -> DrazinResult:
-    return replace(r, drazin=r.drazin.T, idempotent=r.idempotent.T, source=r.source.T)
+    return replace(r, drazin=r.drazin.T, idempotent=r.idempotent.T)
 
 
 # Left-hand side of each hypothesis and existence clause.  FFpi and EEpi

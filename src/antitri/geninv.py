@@ -30,8 +30,7 @@ normal float range are the unscaled recursion's value for value, and
 the squares x @ x of the recursion neither underflow nor overflow at
 extreme scale.  An A^D beyond the float64 range raises OverflowError.
 
-The axiom residuals of a :class:`DrazinResult` are computed on first
-read.  :func:`index_of` ranks powers of A directly and stays as an
+:func:`index_of` ranks powers of A directly and stays as an
 independent check of the index.
 
 This module is the independent oracle that every closed-form block
@@ -41,8 +40,7 @@ representation in :mod:`antitri.formulas` is checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,28 +67,14 @@ class NoGroupInverseError(ArithmeticError):
 
 @dataclass(frozen=True)
 class DrazinResult:
-    """Drazin inverse A^D of ``source`` with index and spectral idempotent.
+    """Drazin inverse A^D with index ind(A) and spectral idempotent A^pi.
 
-    ``residuals`` holds the three axiom residuals (commutation, inner,
-    eventual-power) of :func:`verify_drazin_axioms` at ``tol``; they are
-    computed on first read and then kept.
+    The one answer shape for both inverses: at index <= 1, ``drazin``
+    is the group inverse A^#.
     """
 
     drazin: np.ndarray
     index: int
-    idempotent: np.ndarray
-    source: np.ndarray = field(repr=False)
-    tol: float = field(default=DEFAULT_TOL, repr=False)
-
-    @cached_property
-    def residuals(self) -> tuple[float, float, float]:
-        report = verify_drazin_axioms(self.source, self.drazin, self.index, self.tol)
-        return tuple(e.residual for e in report.entries)
-
-
-@dataclass(frozen=True)
-class GroupResult:
-    group: np.ndarray
     idempotent: np.ndarray
 
 
@@ -168,7 +152,7 @@ def drazin(a: np.ndarray, tol: float = DEFAULT_TOL) -> DrazinResult:
         raise OverflowError(f"drazin: A^D has entries beyond the float64 range (max|A| = {amax:g})")
     ad = _times_pow2(x, -e)  # (cA)^D = A^D / c
     pi = identity(a.shape[0]) - scaled @ x
-    return DrazinResult(drazin=ad, index=k, idempotent=pi, source=a.copy(), tol=tol)
+    return DrazinResult(drazin=ad, index=k, idempotent=pi)
 
 
 def _times_pow2(a: np.ndarray, k: int) -> np.ndarray:
@@ -186,13 +170,13 @@ def spectral_idempotent(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return drazin(a, tol).idempotent
 
 
-def group_inverse(a: np.ndarray, tol: float = DEFAULT_TOL) -> GroupResult:
-    """Group inverse A^#; raises NoGroupInverseError when ind(a) >= 2."""
+def group_inverse(a: np.ndarray, tol: float = DEFAULT_TOL) -> DrazinResult:
+    """A^# = A^D as ``drazin`` of the result; raises NoGroupInverseError when ind(a) >= 2."""
     _require_square(a, "group_inverse")
     r = drazin(a, tol)
     if r.index > 1:
         raise NoGroupInverseError(r.index)
-    return GroupResult(group=r.drazin, idempotent=r.idempotent)
+    return r
 
 
 def verify_drazin_axioms(
@@ -217,7 +201,9 @@ def verify_drazin_axioms(
         ("inner", frobenius_norm(xa @ x - x)),
         ("eventual-power", frobenius_norm(ak @ ax - ak)),  # AX is a bounded projector
     ]
-    return ConditionReport.build(
-        ConditionEntry(name=name, residual=r, threshold=threshold, passed=r <= threshold < math.inf)
-        for name, r in checks
+    return ConditionReport(
+        tuple(
+            ConditionEntry(name=name, residual=r, threshold=threshold, passed=r <= threshold < math.inf)
+            for name, r in checks
+        )
     )

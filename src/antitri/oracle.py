@@ -8,12 +8,13 @@ assembly; that independence from the formula path is its entire value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import block2x2, frobenius_norm, identity, zeros
-from .geninv import DrazinResult, GroupResult, drazin, verify_drazin_axioms
+from .geninv import DrazinResult, drazin, verify_drazin_axioms
 from .formulas import BlockPair, BlockResult, GroupFormulaBlocks, InverseKind, NoGroupInverse, Pattern
 from .reports import ConditionReport
 
@@ -42,20 +43,16 @@ def assemble(pair: BlockPair) -> np.ndarray:
 
 def oracle_inverse(
     pair: BlockPair, kind: InverseKind = InverseKind.DRAZIN, tol: float = 1e-10
-) -> DrazinResult | GroupResult | NoGroupInverse:
+) -> DrazinResult | NoGroupInverse:
     """Direct generalized inverse of the assembled matrix.
 
     For kind Group an index >= 2 yields a NoGroupInverse verdict rather
     than an exception: nonexistence is an answer the formulas must match.
+    At index <= 1 the Drazin answer is the group inverse.
     """
-    m = assemble(pair)
-    result = drazin(m, tol)
-    if kind is InverseKind.GROUP:
-        if result.index > 1:
-            return NoGroupInverse(
-                failed=("oracle_index",), residuals={"ind(M)": float(result.index)}
-            )
-        return GroupResult(group=result.drazin, idempotent=result.idempotent)
+    result = drazin(assemble(pair), tol)
+    if kind is InverseKind.GROUP and result.index > 1:
+        return NoGroupInverse(failed=("oracle_index",), residuals={"ind(M)": float(result.index)})
     return result
 
 
@@ -69,8 +66,12 @@ def compare(
 
     Unclamped, so a small M^D is judged on its own scale (absolute error
     only when M^D = 0).  X is also re-verified against the Drazin axioms
-    for the assembled matrix (at the oracle's index).
+    for the assembled matrix (at the oracle's index).  ValueError unless
+    0 <= tol < inf: tol = 0 asks for an exact match, and an infinite or
+    NaN tol would pass any answer or none.
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"compare tol must be finite and >= 0, got {tol}")
     if formula.pattern is not pair.pattern:
         raise ValueError(f"pattern mismatch: formula {formula.pattern} vs pair {pair.pattern}")
     m = assemble(pair)

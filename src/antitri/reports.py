@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -17,13 +17,11 @@ class ConditionEntry:
 class ConditionReport:
     """Per-condition residual norms and verdicts; overall is the conjunction."""
 
-    entries: tuple[ConditionEntry, ...] = field(default_factory=tuple)
-    overall: bool = True
+    entries: tuple[ConditionEntry, ...] = ()
 
-    @staticmethod
-    def build(entries) -> "ConditionReport":
-        entries = tuple(entries)
-        return ConditionReport(entries=entries, overall=all(e.passed for e in entries))
+    @property
+    def overall(self) -> bool:
+        return all(e.passed for e in self.entries)
 
     def entry(self, name: str) -> ConditionEntry:
         for e in self.entries:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .conditions import GeneratorRecipe, InfeasibleRecipeError, example_45, generate
@@ -77,10 +78,10 @@ def run_sweep(
     Each instance costs one Drazin inverse of the assembled M: in
     :func:`compare` when the formula returns blocks, in
     :func:`oracle_has_group_inverse` otherwise; either gives the
-    recorded ``oracle_index``.  An unknown id raises KeyError, count < 0,
-    nmax < 1 or seed < 0 raises ValueError (for thm41 too, whose first
-    instance is not generated), and a recipe that no dimension can meet
-    raises InfeasibleRecipeError.
+    recorded ``oracle_index``.  An unknown id raises KeyError; count < 0,
+    nmax < 1, seed < 0 or a compare_tol outside [0, inf) raises
+    ValueError (for thm41 too, whose first instance is not generated);
+    and a recipe that no dimension can meet raises InfeasibleRecipeError.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -88,6 +89,8 @@ def run_sweep(
         raise ValueError(f"seed must be >= 0, got {seed}")
     if nmax < 1:
         raise ValueError(f"nmax must be >= 1, got {nmax}")
+    if not 0 <= compare_tol < math.inf:
+        raise ValueError(f"compare_tol must be finite and >= 0, got {compare_tol}")
     group = REGISTRY[theorem_id].kind is InverseKind.GROUP
     instances = _instances(theorem_id, violate, seed, nmax)
     if theorem_id == "thm41" and violate is None:

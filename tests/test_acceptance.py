@@ -62,9 +62,9 @@ def test_criterion_1_golden_fixture():
 
 
 def test_criterion_2_intermediate_fixture():
-    e_sharp = group_inverse(E45).group
+    e_sharp = group_inverse(E45).drazin
     e_pi = spectral_idempotent(E45)
-    f_sharp = group_inverse(F45).group
+    f_sharp = group_inverse(F45).drazin
     f_pi = spectral_idempotent(F45)
     errs = [
         np.max(np.abs(e_sharp - matrix([[1, 2], [0, -1]]))),

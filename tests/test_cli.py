@@ -70,6 +70,53 @@ def test_cmd_drazin_fixture_f(tmp_path, capsys):
     assert rep["result"]["index"] == 1
 
 
+def test_cmd_drazin_residuals_are_the_verifier_at_tol(tmp_path, capsys, rng):
+    from antitri import drazin, verify_drazin_axioms
+
+    p = tmp_path / "a.json"
+    cases = [matrix([[1j, 1j], [0, 0]]), jordan_nilpotent(3)]
+    cases += [matrix(rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))) for _ in range(3)]
+    for a in cases:
+        write_matrix(str(p), a)
+        code, rep = run_cli(capsys, "drazin", str(p), "--tol", "1e-9")
+        assert code == EXIT_OK
+        r = drazin(a, 1e-9)
+        axioms = verify_drazin_axioms(a, r.drazin, r.index, 1e-9)
+        assert rep["result"]["residuals"] == [e.residual for e in axioms.entries]  # bit for bit
+
+
+def test_cmd_reports_share_one_envelope(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_matrix("a.json", jordan_nilpotent(2))
+    runs = [
+        ["drazin", "a.json"],
+        ["block", "--fixture", "example45", "--theorem", "thm41", "--verify"],
+        ["block", "--fixture", "example45", "--theorem", "thm31"],
+        ["gen", "e.json", "f.json", "--theorem", "thm31", "--n", "2"],
+        ["sweep", "--theorem", "thm41", "--count", "2"],
+    ]
+    for argv in runs:
+        code, rep = run_cli(capsys, *argv)
+        keys = list(rep)
+        assert keys[:2] == ["command", "inputs_digest"] and keys[-1] == "wall_time_s", argv
+        assert rep["command"][0] == argv[0] and len(keys) > 3, argv
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_cmd_compare_tol_outside_zero_to_inf_is_an_input_error(capsys, tol):
+    # --compare-tol inf passed every answer, -1 failed a correct one as a
+    # verification failure, and nan exited 3 only at the JSON encoder
+    runs = (
+        ["sweep", "--theorem", "thm41", "--count", "3"],
+        ["block", "--fixture", "example45", "--theorem", "thm41", "--verify"],
+    )
+    for argv in runs:
+        code = main([*argv, "--compare-tol", tol])
+        captured = capsys.readouterr()
+        assert code == EXIT_IO and not captured.out, (argv, tol)
+        assert "must be finite and >= 0" in captured.err, (argv, tol)
+
+
 def test_cmd_drazin_bad_input(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

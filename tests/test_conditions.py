@@ -55,6 +55,18 @@ def test_check_conditions_identity_pair():
     assert rep.overall  # F^pi = 0 kills every clause
 
 
+def test_condition_report_overall_is_the_conjunction():
+    # overall was a stored field defaulting to True, so a report built
+    # directly from a failing entry read as passing
+    from antitri import ConditionEntry, ConditionReport
+
+    failing = ConditionEntry(name="FFpi", residual=1.0, threshold=1e-10, passed=False)
+    passing = ConditionEntry(name="EEpi", residual=0.0, threshold=1e-10, passed=True)
+    assert not ConditionReport(entries=(failing,)).overall
+    assert not ConditionReport((passing, failing)).to_dict()["overall"]
+    assert ConditionReport((passing,)).overall and ConditionReport().overall
+
+
 def test_check_conditions_jordan_failure():
     rep = check_conditions(identity(2), jordan_nilpotent(2), "thm31")
     assert not rep.overall

@@ -438,6 +438,23 @@ def test_a_real_matrix_is_inverted_as_complex():
     assert drazin(a).drazin.tobytes() == drazin(matrix(a)).drazin.tobytes()
 
 
+def test_bad_tol_message_names_the_value_not_rank_factorize():
+    # every caller's bad tol was reported as "rank_factorize requires ..."
+    from antitri import check_conditions, drazin, thm41_group
+
+    e, f = matrix([[1, 2], [0, -1]]), matrix([[1j, 1j], [0, 0]])
+    calls = (
+        lambda: rank_factorize(e, 0),
+        lambda: drazin(e, 0),
+        lambda: thm41_group(e, f, tol=0),
+        lambda: check_conditions(e, f, "thm41", tol=0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="finite tol > 0") as err:
+            call()
+        assert "tol=0" in str(err.value) and "rank_factorize" not in str(err.value)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-10, np.inf, np.nan])
 def test_rank_factorize_rejects_non_finite_or_non_positive_tol(tol):
     # tol = inf made every pivot fall below the cut, so drazin of the

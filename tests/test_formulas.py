@@ -1052,17 +1052,15 @@ def test_drazin_calls_per_formula(monkeypatch):
 
 
 def test_transposed_drazin_data_residuals_are_of_the_transpose():
-    # the transpose view reuses drazin(E); its lazy axiom residuals must be
-    # those of (E^T, (E^D)^T), not of E against the transposed inverse
+    # the transpose view reuses drazin(E); its data must satisfy the Drazin
+    # axioms of E^T, not of E against the transposed inverse
     from antitri import verify_drazin_axioms
     from antitri.formulas import _DrazinData
 
     for pair in pairs_for("thm33", 6, seed=5):
         t = _DrazinData(pair.E, pair.F, 1e-10).T
         for a, r in ((pair.E.T, t.E), (pair.F.T, t.F)):
-            rep = verify_drazin_axioms(a, r.drazin, r.index)
-            assert r.residuals == tuple(e.residual for e in rep.entries)
-            assert rep.overall
+            assert verify_drazin_axioms(a, r.drazin, r.index).overall
 
 
 def test_one_route_per_call():

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from antitri import (
     BlockPair,
+    DrazinResult,
     GeneratorRecipe,
-    GroupResult,
     InverseKind,
     NoGroupInverse,
     Pattern,
@@ -43,11 +45,11 @@ def test_assemble_patterns():
 def test_oracle_inverse_group_fixture():
     ex = example_45()
     out = oracle_inverse(ex, InverseKind.GROUP)
-    assert isinstance(out, GroupResult)
+    assert isinstance(out, DrazinResult) and out.index == 1
     expected = matrix(
         [[0, 1, -1j, -1j], [0, -1, 0, 0], [-1j, -1j, 1, 1], [0, 0, 0, 0]]
     )
-    assert_close(out.group, expected, 1e-12)
+    assert_close(out.drazin, expected, 1e-12)
 
 
 def test_oracle_inverse_involution():
@@ -77,6 +79,28 @@ def test_compare_fixture_and_corruption():
     bad = compare(corrupted, ex)
     assert not bad.passed
     assert not bad.axioms.overall
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+def test_compare_refuses_a_tolerance_outside_zero_to_inf(tol):
+    # at tol = inf a corrupted answer, 0.707 relative error, passed
+    from dataclasses import replace
+
+    ex = example_45()
+    res = thm41_group(ex.E, ex.F)
+    for x in (res, replace(res, Gamma=res.Gamma + 1.0)):
+        with pytest.raises(ValueError, match="compare tol must be finite and >= 0"):
+            compare(x, ex, tol)
+
+
+def test_compare_at_zero_tol_asks_for_an_exact_match():
+    from dataclasses import replace
+
+    ex = example_45()
+    res = thm41_group(ex.E, ex.F)
+    verdict = compare(res, ex, 0.0)
+    assert verdict.passed == (verdict.relative_error == 0.0)
+    assert not compare(replace(res, Gamma=res.Gamma + 1e-12), ex, 0.0).passed
 
 
 def test_compare_judges_small_answers_on_their_own_scale():

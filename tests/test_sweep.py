@@ -1,3 +1,4 @@
+import math
 import signal
 
 import pytest
@@ -82,3 +83,11 @@ def test_negative_count_or_seed_is_rejected(deadline):
     for tid in ("thm31", "thm41"):  # thm41's first instance is the golden fixture
         with pytest.raises(ValueError, match="seed must be >= 0"):
             run_sweep(tid, count=2, seed=-1)
+
+
+@pytest.mark.parametrize("compare_tol", [math.inf, math.nan, -1.0])
+def test_compare_tol_outside_zero_to_inf_is_rejected_up_front(deadline, compare_tol):
+    # compare_tol = inf passed every instance whatever the formula returned
+    for tid, count in (("thm31", 0), ("thm31", 3), ("thm41", 2)):
+        with pytest.raises(ValueError, match="compare_tol must be finite and >= 0"):
+            run_sweep(tid, count=count, compare_tol=compare_tol)
