@@ -12,9 +12,11 @@ runs).  Each command returns (exit code, command echo, inputs digest,
 fields); :func:`main` wraps them in one report, {"command",
 "inputs_digest", **fields, "wall_time_s"}, written to stdout as JSON.
 
-Exit codes: 0 success/verified; 1 hypothesis or verification failure;
-2 no-group-inverse outcome; 3 I/O, malformed input, a usage error, or
-a report holding a value that strict JSON cannot carry (NaN, inf).
+Exit codes: 0 success/verified; 1 hypothesis or verification failure
+(with ``--verify``, a no-group-inverse outcome the oracle contradicts
+too); 2 no-group-inverse outcome (with ``--verify``, one the oracle
+confirms); 3 I/O, malformed input, a usage error, or a report holding
+a value that strict JSON cannot carry (NaN, inf).
 """
 
 from __future__ import annotations
@@ -38,18 +40,10 @@ from .conditions import (
     example_45,
     generate,
 )
-from .core import matrix
-from .formulas import (
-    BlockPair,
-    BlockResult,
-    HypothesisError,
-    NoGroupInverse,
-    Pattern,
-    _holder,
-    _run,
-)
+from .core import DEFAULT_TOL, matrix
+from .formulas import BlockPair, BlockResult, HypothesisError, NoGroupInverse, _holder, _run
 from .geninv import drazin, verify_drazin_axioms
-from .oracle import COMPARE_TOL, compare
+from .oracle import COMPARE_TOL, check_compare_tol, compare
 from .sweep import run_sweep
 
 EXIT_OK = 0
@@ -114,16 +108,8 @@ def _digest(*mats: np.ndarray) -> str:
 
 def _emit(rep: dict) -> None:
     """Write the report as strict JSON; ValueError, before any output, on a NaN or inf."""
-    text = json.dumps(rep, indent=2, default=_json_default, allow_nan=False)
+    text = json.dumps(rep, indent=2, allow_nan=False)
     sys.stdout.write(text + "\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _result_json(result) -> dict:
@@ -141,8 +127,6 @@ def _result_json(result) -> dict:
 
 def cmd_drazin(args):
     a = read_matrix(args.input)
-    if a.shape[0] != a.shape[1]:
-        raise InputError(f"drazin needs a square matrix, got {a.shape}")
     r = drazin(a, args.tol)
     axioms = verify_drazin_axioms(a, r.drazin, r.index, args.tol)
     result = {
@@ -164,6 +148,8 @@ def _parse_lam(text):
 
 
 def cmd_block(args):
+    if args.verify:  # before the formula runs, so a refused pair cannot hide a bad value
+        check_compare_tol(args.compare_tol, "--compare-tol")
     if args.fixture == "example45":
         pair = example_45()
         e, f = pair.E, pair.F
@@ -172,9 +158,6 @@ def cmd_block(args):
     else:
         raise InputError("provide E and F paths, or --fixture example45")
     theorem = args.theorem
-    pattern = PATTERN_FOR[theorem]
-    if args.pattern and Pattern(args.pattern) is not pattern:
-        raise InputError(f"{theorem} computes inverses for pattern {pattern.value}")
     lam = _parse_lam(args.lam)
     digest = _digest(e, f)
     echo = ["block", "--theorem", theorem]
@@ -186,21 +169,19 @@ def cmd_block(args):
         error = {"hypothesis": str(err), "residuals": err.residuals}
         return EXIT_FAIL, echo, digest, {"conditions": conditions.to_dict(), "error": error}
     fields = {"conditions": conditions.to_dict(), "result": _result_json(result)}
-    if isinstance(result, NoGroupInverse):
-        return EXIT_NO_GROUP, echo, digest, fields
+    code = EXIT_NO_GROUP if isinstance(result, NoGroupInverse) else EXIT_OK
     if args.verify:
-        verdict = compare(
-            result, BlockPair(E=e, F=f, pattern=pattern), args.compare_tol, args.tol
-        )
+        pair = BlockPair(E=e, F=f, pattern=PATTERN_FOR[theorem])
+        verdict = compare(result, pair, args.compare_tol, args.tol)
         fields["verification"] = {
             "relative_error": verdict.relative_error,
-            "tolerance": verdict.tolerance,
+            "tolerance": args.compare_tol,
             "pass": verdict.passed,
             "oracle_index": verdict.oracle_index,
-            "axioms": verdict.axioms.to_dict(),
+            "axioms": None if verdict.axioms is None else verdict.axioms.to_dict(),
         }
-        return (EXIT_OK if verdict.passed else EXIT_FAIL), echo, digest, fields
-    return EXIT_OK, echo, digest, fields
+        code = code if verdict.passed else EXIT_FAIL
+    return code, echo, digest, fields
 
 
 def cmd_gen(args):
@@ -265,18 +246,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("drazin", help="Drazin inverse, index and spectral idempotent of one matrix")
     p.add_argument("input", help="path to a matrix JSON file")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_drazin)
 
     p = sub.add_parser("block", help="run a block formula on (E, F)")
     p.add_argument("E", nargs="?", help="path to the E matrix file")
     p.add_argument("F", nargs="?", help="path to the F matrix file")
     p.add_argument("--theorem", required=True, choices=sorted(PATTERN_FOR))
-    p.add_argument("--pattern", choices=[pt.value for pt in Pattern], default=None)
     p.add_argument("--fixture", choices=["example45"], default=None)
     p.add_argument("--verify", action="store_true", help="compare against the brute-force oracle")
     p.add_argument("--lam", default=None, help="scalar for the EF = lam FE hypothesis")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--compare-tol", type=float, default=COMPARE_TOL)
     p.set_defaults(func=cmd_block)
 
@@ -287,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--violate", default=None, help="clause name to break deliberately")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("sweep", help="batch generated instances through formula + oracle")
@@ -295,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--nmax", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--compare-tol", type=float, default=COMPARE_TOL)
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import block2x2, frobenius_norm, identity, zeros
+from .core import DEFAULT_TOL, block2x2, frobenius_norm, identity, zeros
 from .geninv import DrazinResult, drazin, verify_drazin_axioms
 from .formulas import BlockPair, BlockResult, GroupFormulaBlocks, InverseKind, NoGroupInverse, Pattern
 from .reports import ConditionReport
@@ -23,11 +23,10 @@ COMPARE_TOL = 1e-8  # looser than the computation tolerance: series terms compou
 
 @dataclass(frozen=True)
 class ComparisonVerdict:
-    relative_error: float
-    tolerance: float
+    relative_error: float | None  # None, like axioms, for a NoGroupInverse
     passed: bool
     oracle_index: int
-    axioms: ConditionReport
+    axioms: ConditionReport | None
 
 
 def assemble(pair: BlockPair) -> np.ndarray:
@@ -42,7 +41,7 @@ def assemble(pair: BlockPair) -> np.ndarray:
 
 
 def oracle_inverse(
-    pair: BlockPair, kind: InverseKind = InverseKind.DRAZIN, tol: float = 1e-10
+    pair: BlockPair, kind: InverseKind = InverseKind.DRAZIN, tol: float = DEFAULT_TOL
 ) -> DrazinResult | NoGroupInverse:
     """Direct generalized inverse of the assembled matrix.
 
@@ -56,41 +55,50 @@ def oracle_inverse(
     return result
 
 
+def check_compare_tol(tol: float, name: str = "compare tol") -> None:
+    """ValueError unless 0 <= tol < inf: 0 asks for an exact match; inf or NaN passes all or none."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {tol}")
+
+
 def compare(
-    formula: BlockResult | GroupFormulaBlocks,
+    formula: BlockResult | GroupFormulaBlocks | NoGroupInverse,
     pair: BlockPair,
     tol: float = COMPARE_TOL,
-    compute_tol: float = 1e-10,
+    compute_tol: float = DEFAULT_TOL,
 ) -> ComparisonVerdict:
-    """Relative Frobenius error ||X - M^D|| / ||M^D|| of the formula blocks X.
+    """The oracle's verdict on one formula outcome, from one ``drazin`` of M.
 
-    Unclamped, so a small M^D is judged on its own scale (absolute error
+    A NoGroupInverse passes iff ind(M) >= 2; it has no blocks, so its
+    ``relative_error`` and ``axioms`` are None.  Blocks X pass when the
+    relative Frobenius error ||X - M^D|| / ||M^D|| is at most ``tol``,
+    and a group-kind answer only if also ind(M) <= 1.  The error is
+    unclamped, so a small M^D is judged on its own scale (absolute error
     only when M^D = 0).  X is also re-verified against the Drazin axioms
-    for the assembled matrix (at the oracle's index).  ValueError unless
-    0 <= tol < inf: tol = 0 asks for an exact match, and an infinite or
-    NaN tol would pass any answer or none.
+    for the assembled matrix (at the oracle's index).  ValueError for a
+    tol outside [0, inf) (see :func:`check_compare_tol`) or blocks of
+    another pattern or shape.
     """
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"compare tol must be finite and >= 0, got {tol}")
-    if formula.pattern is not pair.pattern:
-        raise ValueError(f"pattern mismatch: formula {formula.pattern} vs pair {pair.pattern}")
+    check_compare_tol(tol)
     m = assemble(pair)
     oracle = drazin(m, compute_tol)
+    if isinstance(formula, NoGroupInverse):
+        return ComparisonVerdict(None, oracle.index >= 2, oracle.index, None)
+    if formula.pattern is not pair.pattern:
+        raise ValueError(f"pattern mismatch: formula {formula.pattern} vs pair {pair.pattern}")
     assembled = formula.assemble()
     if assembled.shape != m.shape:
         raise ValueError(f"shape mismatch: formula {assembled.shape} vs assembled {m.shape}")
     rel = frobenius_norm(assembled - oracle.drazin) / (frobenius_norm(oracle.drazin) or 1.0)
-    axioms = verify_drazin_axioms(m, assembled, oracle.index, compute_tol)
     return ComparisonVerdict(
         relative_error=rel,
-        tolerance=tol,
-        passed=rel <= tol,
+        passed=rel <= tol and (formula.kind is not InverseKind.GROUP or oracle.index <= 1),
         oracle_index=oracle.index,
-        axioms=axioms,
+        axioms=verify_drazin_axioms(m, assembled, oracle.index, compute_tol),
     )
 
 
-def oracle_has_group_inverse(pair: BlockPair, tol: float = 1e-10) -> tuple[bool, int]:
+def oracle_has_group_inverse(pair: BlockPair, tol: float = DEFAULT_TOL) -> tuple[bool, int]:
     """(index <= 1, index) for the assembled matrix, the index read off ``drazin``."""
     k = drazin(assemble(pair), tol).index
     return k <= 1, k

@@ -3,19 +3,19 @@
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 from .conditions import GeneratorRecipe, InfeasibleRecipeError, example_45, generate
-from .formulas import REGISTRY, HypothesisError, InverseKind, NoGroupInverse, apply_formula
-from .oracle import COMPARE_TOL, compare, oracle_has_group_inverse
+from .core import DEFAULT_TOL
+from .formulas import REGISTRY, HypothesisError, NoGroupInverse, apply_formula
+from .oracle import COMPARE_TOL, check_compare_tol, compare, oracle_has_group_inverse
 
 
 @dataclass(frozen=True)
 class SweepRecord:
     seed: int
     dimension: int
-    relative_error: float | None  # None when both sides agree on nonexistence
+    relative_error: float | None  # None for a NoGroupInverse or a refusal
     passed: bool
     oracle_index: int
     no_group: bool
@@ -62,22 +62,20 @@ def run_sweep(
     count: int = 200,
     nmax: int = 4,
     seed: int = 0,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
     compare_tol: float = COMPARE_TOL,
     violate: str | None = None,
 ) -> SweepSummary:
-    """Generate ``count`` instances and compare the formula with the oracle.
+    """Generate ``count`` instances and judge each formula outcome by the oracle.
 
     Dimensions cycle through 1..nmax.  For the identical-subblock
     formula the golden fixture is instance 0.  An instance passes when
-    the formula blocks match the oracle within ``compare_tol`` relative
-    Frobenius error, or when formula and oracle agree that no group
-    inverse exists.  With ``violate`` set, agreement of the two
-    nonexistence verdicts is what is being swept, and a formula that
-    refuses the pair with HypothesisError passes with no error recorded.
-    Each instance costs one Drazin inverse of the assembled M: in
-    :func:`compare` when the formula returns blocks, in
-    :func:`oracle_has_group_inverse` otherwise; either gives the
+    :func:`compare` passes the formula's outcome, blocks or
+    NoGroupInverse.  With ``violate`` set, a formula that refuses the
+    pair with HypothesisError passes with no error recorded.  Each
+    instance costs one Drazin inverse of the assembled M: in
+    :func:`compare` when the formula answers, in
+    :func:`oracle_has_group_inverse` when it refuses; either gives the
     recorded ``oracle_index``.  An unknown id raises KeyError; count < 0,
     nmax < 1, seed < 0 or a compare_tol outside [0, inf) raises
     ValueError (for thm41 too, whose first instance is not generated);
@@ -89,61 +87,36 @@ def run_sweep(
         raise ValueError(f"seed must be >= 0, got {seed}")
     if nmax < 1:
         raise ValueError(f"nmax must be >= 1, got {nmax}")
-    if not 0 <= compare_tol < math.inf:
-        raise ValueError(f"compare_tol must be finite and >= 0, got {compare_tol}")
-    group = REGISTRY[theorem_id].kind is InverseKind.GROUP
+    check_compare_tol(compare_tol, "compare_tol")
     instances = _instances(theorem_id, violate, seed, nmax)
     if theorem_id == "thm41" and violate is None:
         golden = [(seed, 2, example_45())]
         instances = itertools.chain(golden, _instances(theorem_id, None, seed + 1, nmax))
     records = []
-    max_err = 0.0
-    failures = 0
     for inst_seed, n, pair in itertools.islice(instances, count):
         try:
             result = apply_formula(theorem_id, pair.E, pair.F, tol=tol)
         except HypothesisError:
             if violate is None:
                 raise
-            result = None
-        rel = None
-        if result is None or isinstance(result, NoGroupInverse):
-            oracle_group_ok, oracle_index = oracle_has_group_inverse(pair, tol)
-            ok = result is None or not oracle_group_ok  # a caught broken hypothesis passes
+            # a caught broken hypothesis passes; the oracle still reads ind(M)
+            record = SweepRecord(inst_seed, n, None, True, oracle_has_group_inverse(pair, tol)[1], False)
         else:
-            verdict = compare(result, pair, compare_tol, tol)
-            oracle_index = verdict.oracle_index
-            ok = verdict.passed
-            if violate is not None and group:
-                # a violated existence clause must be caught, not silently inverted
-                ok = ok and oracle_index <= 1
-                rel = 0.0 if ok else None
-            else:
-                rel = verdict.relative_error
-                max_err = max(max_err, rel)
-        if not ok:
-            failures += 1
-        records.append(
-            SweepRecord(
-                seed=inst_seed,
-                dimension=n,
-                relative_error=rel,
-                passed=ok,
-                oracle_index=oracle_index,
-                no_group=isinstance(result, NoGroupInverse),
-            )
-        )
+            v = compare(result, pair, compare_tol, tol)
+            no_group = isinstance(result, NoGroupInverse)
+            record = SweepRecord(inst_seed, n, v.relative_error, v.passed, v.oracle_index, no_group)
+        records.append(record)
     return SweepSummary(
         theorem_id=theorem_id,
         count=count,
-        max_relative_error=max_err,
-        failures=failures,
+        max_relative_error=max((r.relative_error or 0.0 for r in records), default=0.0),
+        failures=sum(not r.passed for r in records),
         records=tuple(records),
     )
 
 
 def existence_sweep(
-    theorem_id: str, count: int = 50, nmax: int = 4, seed: int = 10_000, tol: float = 1e-10
+    theorem_id: str, count: int = 50, nmax: int = 4, seed: int = 10_000, tol: float = DEFAULT_TOL
 ) -> tuple[int, int]:
     """(agreements, total) between formula nonexistence and oracle index >= 2.
 

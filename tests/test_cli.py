@@ -103,12 +103,19 @@ def test_cmd_reports_share_one_envelope(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
-def test_cmd_compare_tol_outside_zero_to_inf_is_an_input_error(capsys, tol):
+def test_cmd_compare_tol_outside_zero_to_inf_is_an_input_error(tmp_path, capsys, tol):
     # --compare-tol inf passed every answer, -1 failed a correct one as a
-    # verification failure, and nan exited 3 only at the JSON encoder
+    # verification failure, and nan exited 3 only at the JSON encoder; a
+    # refused pair exited 1 and a no-group pair 2 without checking the value
+    paths = {}
+    for name, a in (("I", matrix([[1, 0], [0, 1]])), ("J", jordan_nilpotent(2)), ("0", zeros(2, 2))):
+        paths[name] = str(tmp_path / f"{name}.json")
+        write_matrix(paths[name], a)
     runs = (
         ["sweep", "--theorem", "thm41", "--count", "3"],
         ["block", "--fixture", "example45", "--theorem", "thm41", "--verify"],
+        ["block", paths["I"], paths["J"], "--theorem", "thm31", "--verify"],
+        ["block", paths["J"], paths["0"], "--theorem", "thm31", "--verify"],
     )
     for argv in runs:
         code = main([*argv, "--compare-tol", tol])
@@ -221,14 +228,14 @@ def test_cmd_block_no_group_outcome(tmp_path, capsys):
     code, rep = run_cli(capsys, "block", str(e), str(f), "--theorem", "thm31")
     assert code == EXIT_NO_GROUP
     assert "no_group_inverse" in rep["result"]
-
-
-def test_cmd_block_pattern_mismatch(capsys):
-    code = main(
-        ["block", "--fixture", "example45", "--theorem", "thm41", "--pattern", "EI_F0"]
-    )
-    capsys.readouterr()
-    assert code == EXIT_IO
+    assert "verification" not in rep
+    # --verify asks the oracle, which confirms the nonexistence: ind(M) = 3
+    code, rep = run_cli(capsys, "block", str(e), str(f), "--theorem", "thm31", "--verify")
+    assert code == EXIT_NO_GROUP
+    assert "no_group_inverse" in rep["result"]
+    verification = rep["verification"]
+    assert verification["pass"] and verification["oracle_index"] == 3
+    assert verification["relative_error"] is None and verification["axioms"] is None
 
 
 def test_cmd_gen_then_block_verify(tmp_path, capsys):

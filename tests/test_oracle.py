@@ -5,7 +5,9 @@ import pytest
 
 from antitri import (
     BlockPair,
+    BlockResult,
     DrazinResult,
+    GroupFormulaBlocks,
     GeneratorRecipe,
     InverseKind,
     NoGroupInverse,
@@ -19,6 +21,7 @@ from antitri import (
     identity,
     matrix,
     oracle_inverse,
+    thm31_group,
     thm41_group,
     verify_drazin_axioms,
     zeros,
@@ -117,6 +120,31 @@ def test_compare_judges_small_answers_on_their_own_scale():
                        Lambda=0 * res.Lambda, Xi=0 * res.Xi)
         verdict = compare(zero, pair)
         assert not verdict.passed and verdict.relative_error == 1.0
+
+
+def test_compare_judges_a_no_group_answer_by_the_oracle_index():
+    # nonexistence is a theorem's answer too: it passes iff ind(M) >= 2
+    pair = BlockPair(E=jordan_nilpotent(2), F=zeros(2, 2), pattern=Pattern.EI_F0)
+    out = thm31_group(pair.E, pair.F)
+    assert isinstance(out, NoGroupInverse)
+    verdict = compare(out, pair)
+    assert verdict.passed and verdict.oracle_index == 3
+    assert verdict.relative_error is None and verdict.axioms is None
+    wrong = compare(NoGroupInverse(("EpiFpi",)), example_45())
+    assert not wrong.passed and wrong.oracle_index == 1
+    assert wrong.relative_error is None and wrong.axioms is None
+
+
+def test_compare_fails_group_blocks_where_ind_m_exceeds_one():
+    # the blocks of M^D at ind(M) = 3 are a right Drazin answer but no group inverse
+    pair = BlockPair(E=jordan_nilpotent(2), F=zeros(2, 2), pattern=Pattern.EI_F0)
+    d = drazin(assemble(pair)).drazin
+    blocks = (d[:2, :2], d[:2, 2:], d[2:, :2], d[2:, 2:])
+    as_group = compare(GroupFormulaBlocks(*blocks, pattern=pair.pattern), pair)
+    as_drazin = compare(BlockResult(*blocks, kind=InverseKind.DRAZIN, pattern=pair.pattern), pair)
+    assert as_group.oracle_index == as_drazin.oracle_index == 3
+    assert as_group.relative_error == as_drazin.relative_error == 0.0
+    assert not as_group.passed and as_drazin.passed
 
 
 def test_compare_pattern_mismatch():
