@@ -138,15 +138,6 @@ def cmd_drazin(args):
     return EXIT_OK, ["drazin", args.input], _digest(a), {"result": result}
 
 
-def _parse_lam(text):
-    if text is None:
-        return None
-    try:
-        return complex(text)
-    except ValueError:
-        raise InputError(f"cannot parse --lam value {text!r}") from None
-
-
 def cmd_block(args):
     if args.verify:  # before the formula runs, so a refused pair cannot hide a bad value
         check_compare_tol(args.compare_tol, "--compare-tol")
@@ -158,10 +149,9 @@ def cmd_block(args):
     else:
         raise InputError("provide E and F paths, or --fixture example45")
     theorem = args.theorem
-    lam = _parse_lam(args.lam)
     digest = _digest(e, f)
     echo = ["block", "--theorem", theorem]
-    d = _holder(theorem, e, f, args.tol, lam)  # one holder: each Drazin datum is computed once
+    d = _holder(theorem, e, f, args.tol, args.lam)  # one holder: each Drazin datum is computed once
     conditions = _row_report(d, theorem)
     try:
         result = _run(d, theorem)
@@ -255,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", required=True, choices=sorted(PATTERN_FOR))
     p.add_argument("--fixture", choices=["example45"], default=None)
     p.add_argument("--verify", action="store_true", help="compare against the brute-force oracle")
-    p.add_argument("--lam", default=None, help="scalar for the EF = lam FE hypothesis")
+    p.add_argument("--lam", type=complex, default=None, help="scalar for the EF = lam FE hypothesis")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--compare-tol", type=float, default=COMPARE_TOL)
     p.set_defaults(func=cmd_block)

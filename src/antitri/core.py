@@ -172,7 +172,9 @@ def _eliminate(a: np.ndarray, tol: float, floor: float = 0.0):
         np.abs(w, mag)
         flat = int(mag.argmax())
         piv = mag.item(flat)
-        if k == 0:
+        if k == 0:  # the first pivot is max|a|: NaN or Inf there would count as rank
+            if not math.isfinite(piv):
+                raise ValueError("matrix entries must be finite (no NaN/Inf)")
             cut = max(tol * piv, floor)
         if piv <= cut or piv == 0.0:
             break

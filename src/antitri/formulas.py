@@ -25,11 +25,14 @@ NoGroupInverse, and a body of one ``_DrazinData``.  ``_run``, the one
 dispatcher, gates the row, then calls the body; each public formula is
 ``_run`` on a fresh holder.  The base rows thm23, thm25, thm31 and thm41
 evaluate their blocks.  The other rows map a base answer on the same
-Drazin data: thm27 relabels thm25 as Drazin; thm33 and cor42 transpose
-thm31 and thm41 on (E^T, F^T); cor26, cor32 and cor34 push thm25, thm31
-and thm33 through [[E, F], [I, 0]] = T^-1 [[E, I], [F, 0]] T,
-T = [[0, I], [I, -E]], in n x n blocks; cor35 is thm33 and cor44 is
-cor43, each under its own gate; cor43 hands over to thm41 or cor42.
+Drazin data.  Six call the base body itself, since their gate judged
+every base clause: thm27 relabels thm25 as Drazin; thm33 and cor42
+transpose thm31 and thm41 run on the plain holder of (E^T, F^T); cor26,
+cor32 and cor34 push thm25, thm31 and thm33 through [[E, F], [I, 0]] =
+T^-1 [[E, I], [F, 0]] T, T = [[0, I], [I, -E]], in n x n blocks.  The
+bases of cor35, cor43 and cor44 judge a clause these rows do not list,
+so they re-enter ``_run``: cor35 runs thm33, cor44 runs cor43, and
+cor43 runs thm41 or cor42.
 
 thm25 takes the constructive route M = P + Q, because the printed n x n
 recipe of Theorem 2.5 is misprinted (see the README's Errata): Q^d from
@@ -107,7 +110,7 @@ class BlockPair:
 
     def __post_init__(self):
         e, f = self.E, self.F
-        if e.shape != f.shape or e.shape[0] != e.shape[1]:
+        if e.ndim != 2 or e.shape != f.shape or e.shape[0] != e.shape[1]:
             raise ShapeError(f"E and F must be square of equal size, got {e.shape} and {f.shape}")
         require_finite(e, f)
 
@@ -171,22 +174,19 @@ class _DrazinData:
     ``E`` and ``F`` are the :class:`DrazinResult` of the two blocks
     (for the additive lemmas, of P and Q), computed on first use, so a
     gate that refuses pays only for the data it read.  ``lam`` is the
-    scalar of the EF = lam FE alternative, or None.  ``T`` is the
-    holder of the transposed pair; it calls no ``drazin`` of its own but
-    transposes this one's results, at the same index.  ``verdicts``
-    keeps each clause :func:`_judge` decided on the pair (a transposed
-    holder keeps none: its clauses are their duals, judged here).
+    scalar of the EF = lam FE alternative, or None.  ``T`` is a plain
+    holder of the transposed pair whose ``E`` and ``F`` are seeded with
+    this one's results, transposed at the same index, so it calls no
+    ``drazin`` of its own.  ``verdicts`` keeps each clause :func:`_judge`
+    decided on the pair.
     """
 
-    def __init__(
-        self, e: np.ndarray, f: np.ndarray, tol: float, lam: complex | None = None, transpose_of=None
-    ):
+    def __init__(self, e: np.ndarray, f: np.ndarray, tol: float, lam: complex | None = None):
         BlockPair(e, f)  # shape check
         require_tol(tol)  # a judge's threshold is tol-relative
         if lam is not None and not np.isfinite(lam):
             raise ValueError(f"lam must be finite (no NaN/Inf), got {lam!r}")
         self.e, self.f, self.tol, self.lam = e, f, tol, lam
-        self._transpose_of = transpose_of
         self.verdicts: dict[str, ConditionEntry] = {}
 
     @cached_property
@@ -195,21 +195,17 @@ class _DrazinData:
 
     @cached_property
     def E(self) -> DrazinResult:
-        if self._transpose_of is None:
-            return drazin(self.e, self.tol)
-        return _transposed(self._transpose_of.E)
+        return drazin(self.e, self.tol)
 
     @cached_property
     def F(self) -> DrazinResult:
-        if self._transpose_of is None:
-            return drazin(self.f, self.tol)
-        return _transposed(self._transpose_of.F)
+        return drazin(self.f, self.tol)
 
     @cached_property
     def T(self) -> _DrazinData:
-        if self._transpose_of is not None:
-            return self._transpose_of
-        return _DrazinData(self.e.T.copy(), self.f.T.copy(), self.tol, transpose_of=self)
+        t = _DrazinData(self.e.T.copy(), self.f.T.copy(), self.tol)
+        t.__dict__.update(E=_transposed(self.E), F=_transposed(self.F))  # cached_property reads these
+        return t
 
 
 def _transposed(r: DrazinResult) -> DrazinResult:
@@ -263,13 +259,9 @@ def _judge(d: _DrazinData, name: str) -> ConditionEntry:
     max(1, |F^pi|_F) for the idempotent-only EpiFpi/FpiEpi.  A residual
     passes only when residual <= threshold < inf: a threshold that
     overflowed at extreme scale passes nothing.  FFpi and EEpi pass iff
-    ind <= 1.  "A|B" passes when either clause does and
-    reports the smaller residual.  With ``d.lam`` set, EF2-FEF becomes
-    the either-or "EF-lFE|EF2-FEF".  On a transposed holder a clause is
-    its dual on the original pair, judged there under the dual's name.
+    ind <= 1.  "A|B" passes when either clause does and reports the
+    smaller residual.  With ``d.lam`` set, EF2-FEF is "EF-lFE|EF2-FEF".
     """
-    if d._transpose_of is not None:
-        return _judge(d._transpose_of, dual_clause(name))
     if name == "EF2-FEF" and d.lam is not None:
         name = "EF-lFE|EF2-FEF"
     if name in d.verdicts:
@@ -504,10 +496,6 @@ def thm27(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult
     return _run(_DrazinData(e, f, tol), "thm27")
 
 
-def _thm27(d: _DrazinData) -> BlockResult:
-    return replace(_run(d, "thm25"), kind=InverseKind.DRAZIN)
-
-
 def cor26(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult:
     """g-Drazin inverse of [[E, F], [I, 0]] under EFEF^pi = F^2 E F^pi = 0.
 
@@ -551,14 +539,14 @@ def _mapped(out, blocks_map):
 
 
 def _similar(base_id: str, blocks_map):
-    """Body of a similarity corollary: the base row's answer, mapped through T."""
-    return lambda d: _mapped(_run(d, base_id), partial(blocks_map, d.e))
+    """Body of a similarity corollary: the base row's body, its answer mapped through T."""
+    return lambda d: _mapped(REGISTRY[base_id].body(d), partial(blocks_map, d.e))
 
 
 def _dual(base_id: str):
-    """Body of a transpose dual: the base row's answer on (E^T, F^T), transposed."""
+    """Body of a transpose dual: the base row's body on the plain holder d.T, its answer transposed."""
     # X^T for X = [[Gamma, Delta], [Lambda, Xi]] is [[Gamma^T, Lambda^T], [Delta^T, Xi^T]]
-    return lambda d: _mapped(_run(d.T, base_id), lambda g, dl, lm, x: (g.T, lm.T, dl.T, x.T))
+    return lambda d: _mapped(REGISTRY[base_id].body(d.T), lambda g, dl, lm, x: (g.T, lm.T, dl.T, x.T))
 
 
 # ---------------------------------------------------------------------------
@@ -744,6 +732,7 @@ class _Formula:
     no Drazin inverse it does not read.  ``body`` computes the answer
     from the holder alone once :func:`_run` has gated the row: a base row
     evaluates its blocks, any other row maps the answer of its base row.
+    Only cor35, cor43 and cor44 gate their base row again, via ``_run``.
     The additive lemmas' rows have no body.
     """
 
@@ -779,7 +768,9 @@ REGISTRY = _Registry({
     "thm23": _Formula(Pattern.EI_F0, InverseKind.G_DRAZIN, ("EFE", "F2E"), (), _thm23),
     "thm25": _Formula(Pattern.EI_F0, InverseKind.G_DRAZIN, _ANTI, (), _anti_triangular),
     "cor26": _Formula(Pattern.EF_I0, InverseKind.G_DRAZIN, _ANTI, (), _similar("thm25", _to_ef_i0)),
-    "thm27": _Formula(Pattern.EI_F0, InverseKind.DRAZIN, _ANTI, (), _thm27),
+    "thm27": _Formula(
+        Pattern.EI_F0, InverseKind.DRAZIN, _ANTI, (), lambda d: replace(_anti_triangular(d), kind=InverseKind.DRAZIN)
+    ),
     "thm31": _Formula(Pattern.EI_F0, _GROUP, ("FEFpi",), _EXISTS, _thm31),
     "cor32": _Formula(Pattern.EF_I0, _GROUP, ("FEFpi",), _EXISTS, _similar("thm31", _to_ef_i0)),
     "thm33": _Formula(Pattern.EF_I0, _GROUP, ("FpiEF",), _EXISTS_T, _dual("thm31")),

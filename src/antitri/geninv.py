@@ -95,6 +95,8 @@ def index_of(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     if n == 0:
         return 0
     scale = float(np.max(np.abs(a)))
+    if not math.isfinite(scale):  # before a / scale turns Inf into NaN
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
     b = a / scale if scale > 0 else a
     prev_rank = n  # rank(a^0) = rank(I)
     power = identity(n)

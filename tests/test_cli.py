@@ -133,6 +133,21 @@ def test_cmd_drazin_bad_input(tmp_path, capsys):
     assert main(["drazin", str(q)]) == EXIT_IO
 
 
+def test_cmd_block_missing_or_unreadable_input_exits_3(tmp_path, capsys):
+    bad = tmp_path / "rows.json"
+    bad.write_text(json.dumps({"rows": "two", "cols": 1, "data": [[[1, 0]]]}))
+    cases = [
+        ([], "provide E and F paths"),
+        ([str(bad), str(bad)], "malformed matrix object"),
+        ([str(tmp_path / "missing.json"), str(bad)], "cannot read"),
+    ]
+    for paths, message in cases:
+        code = main(["block", *paths, "--theorem", "thm31"])
+        captured = capsys.readouterr()
+        assert code == EXIT_IO and not captured.out, paths
+        assert message in captured.err, paths
+
+
 @pytest.mark.parametrize("data", [5, [5]], ids=["number", "list_of_numbers"])
 def test_cmd_drazin_data_not_a_list_of_rows_is_an_input_error(tmp_path, capsys, data):
     # len() of a non-list data raised TypeError, which exited 1 with a traceback
@@ -172,6 +187,7 @@ def test_cmd_drazin_report_is_strict_json_at_extreme_scale(tmp_path, capsys):
         ["block", "--fixture", "example45", "--theorem", "bogus"],
         ["gen", "e.json", "f.json", "--theorem", "thm31", "--n", "x"],
         ["sweep", "--theorem", "bogus", "--count", "1"],
+        ["block", "--fixture", "example45", "--theorem", "cor35", "--lam", "abc"],
     ],
 )
 def test_cmd_usage_error_exits_as_an_input_error(tmp_path, monkeypatch, capsys, argv):

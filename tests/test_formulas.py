@@ -962,6 +962,17 @@ def test_blockpair_shape_validation():
         for p, q in ((zeros(2, 2), zeros(3, 3)), (zeros(2, 3), zeros(2, 3))):
             with pytest.raises(ShapeError):
                 lemma(p, q)
+    # e.shape[1] of a 1-d block raised IndexError before the shape check
+    e = f = np.zeros(2)
+    calls = (
+        lambda: apply_formula("thm31", e, f),
+        lambda: check_conditions(e, f, "thm31"),
+        lambda: lemma22_additive(e, f),
+        lambda: assemble(BlockPair(e, f)),
+    )
+    for call in calls:
+        with pytest.raises(ShapeError, match="square of equal size"):
+            call()
 
 
 def test_cor43_hypothesis_family_arbitration():
@@ -1061,6 +1072,61 @@ def test_transposed_drazin_data_residuals_are_of_the_transpose():
         t = _DrazinData(pair.E, pair.F, 1e-10).T
         for a, r in ((pair.E.T, t.E), (pair.F.T, t.F)):
             assert verify_drazin_axioms(a, r.drazin, r.index).overall
+
+
+# Derived rows that call their base row's body without re-entering _run, and
+# whether their clauses are the base row's transpose duals.
+DIRECT_BASE = {
+    "thm27": ("thm25", False),
+    "cor26": ("thm25", False),
+    "cor32": ("thm31", False),
+    "cor34": ("thm33", False),
+    "thm33": ("thm31", True),
+    "cor42": ("thm41", True),
+}
+
+
+def test_derived_rows_run_their_base_body_once_gated(monkeypatch):
+    # a derived row may skip its base row's gate only because its own gate
+    # judged every base clause (the dual clause, on the transposed pair)
+    import antitri.formulas as formulas
+    from antitri.formulas import _run, dual_clause
+
+    for tid, (base, dual) in DIRECT_BASE.items():
+        row, base_row = REGISTRY[tid], REGISTRY[base]
+        same = dual_clause if dual else (lambda name: name)
+        assert row.hypotheses == tuple(map(same, base_row.hypotheses)), tid
+        assert row.existence_clauses == tuple(map(same, base_row.existence_clauses)), tid
+
+    # the transposed holder is plain: nothing judges a clause on it, though
+    # each of the three rows answers through it on an F^pi E F = 0 pair
+    transposed_ids = ("thm33", "cor42", "cor43")
+    answered = 0
+    for pair in pairs_for("cor43", 60, nmax=3, seed=3):
+        if _judge(_DrazinData(pair.E, pair.F, DEFAULT_TOL), "FEFpi").passed:
+            continue
+        holders = [_DrazinData(pair.E, pair.F, DEFAULT_TOL) for _ in transposed_ids]
+        outs = [_run(d, tid) for d, tid in zip(holders, transposed_ids)]
+        if any(isinstance(out, NoGroupInverse) for out in outs):
+            continue
+        answered += 1
+        assert all(d.T.verdicts == {} for d in holders)
+    assert answered >= 3
+
+    calls = {"drazin": 0, "_run": 0}
+    for name in calls:
+        real = getattr(formulas, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(formulas, name, counted)
+    for tid in DIRECT_BASE:
+        pair = generate(GeneratorRecipe(tid, 3, 0))
+        calls.update(drazin=0, _run=0)
+        apply_formula(tid, pair.E, pair.F)
+        assert calls["drazin"] <= 2 and calls["_run"] == 1, (tid, calls)
 
 
 def test_one_route_per_call():

@@ -19,6 +19,8 @@ from antitri import (
     matrix,
     matrix_power,
     rank,
+    rank_factorize,
+    solve,
     spectral_idempotent,
     verify_drazin_axioms,
     zeros,
@@ -326,8 +328,12 @@ def test_group_existence_rank_criterion():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_drazin_rejects_non_finite(bad):
-    # a NaN entry used to come back as index 0 with a NaN row
+    # a NaN entry used to come back as index 0 with a NaN row; the rank
+    # decisions counted a NaN or Inf pivot as rank, and solve and invert
+    # returned NaN
     a = identity(2)
     a[0, 0] = bad
-    with pytest.raises(ValueError, match="finite"):
-        drazin(a)
+    calls = (drazin, index_of, rank, rank_factorize, invert, lambda m: solve(m, identity(2)[0]))
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call(a)

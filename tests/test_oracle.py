@@ -153,6 +153,9 @@ def test_compare_pattern_mismatch():
     wrong = BlockPair(E=ex.E, F=ex.F, pattern=Pattern.EI_F0)
     with pytest.raises(ValueError):
         compare(res, wrong)
+    bigger = BlockPair(E=identity(3), F=zeros(3, 3), pattern=Pattern.EF_F0)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        compare(res, bigger)
 
 
 def test_oracle_self_consistency():
