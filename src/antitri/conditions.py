@@ -312,8 +312,6 @@ def _build_group_eif0(rng, n, violate, recipe, transposed: bool):
         r, z = _split(rng, n, min_z=1)
         ft = _group_diag(rng, n, rank=r)
         if plain_violate == "EpiFpi":
-            if z == 0:
-                _infeasible(recipe, "F invertible forces the existence clause")
             e22 = _group_diag(rng, z, rank=int(rng.integers(0, z)))
         else:
             e22 = _invertible_diag(rng, z)

@@ -26,10 +26,10 @@ dispatcher, gates the row, then calls the body; each public formula is
 ``_run`` on a fresh holder.  The base rows thm23, thm25, thm31 and thm41
 evaluate their blocks.  The other rows map a base answer on the same
 Drazin data.  Six call the base body itself, since their gate judged
-every base clause: thm27 relabels thm25 as Drazin; thm33 and cor42
-transpose thm31 and thm41 run on the plain holder of (E^T, F^T); cor26,
-cor32 and cor34 push thm25, thm31 and thm33 through [[E, F], [I, 0]] =
-T^-1 [[E, I], [F, 0]] T, T = [[0, I], [I, -E]], in n x n blocks.  The
+every base clause: thm27 relabels thm25 as Drazin; cor26 and cor32 push
+thm25 and thm31 through [[E, F], [I, 0]] = T^-1 [[E, I], [F, 0]] T,
+T = [[0, I], [I, -E]], in n x n blocks; thm33, cor34 and cor42 transpose
+thm31, cor32 and thm41 run on the plain holder of (E^T, F^T).  The
 bases of cor35, cor43 and cor44 judge a clause these rows do not list,
 so they re-enter ``_run``: cor35 runs thm33, cor44 runs cor43, and
 cor43 runs thm41 or cor42.
@@ -102,13 +102,15 @@ class HypothesisError(ArithmeticError):
 
 @dataclass(frozen=True)
 class BlockPair:
-    """A pair (E, F) of equal-size square blocks plus the assembly pattern."""
+    """A pair (E, F) of equal-size square blocks plus the assembly pattern; E and F are kept as arrays."""
 
     E: np.ndarray
     F: np.ndarray
     pattern: Pattern = Pattern.EI_F0
 
     def __post_init__(self):
+        object.__setattr__(self, "E", np.asarray(self.E))
+        object.__setattr__(self, "F", np.asarray(self.F))
         e, f = self.E, self.F
         if e.ndim != 2 or e.shape != f.shape or e.shape[0] != e.shape[1]:
             raise ShapeError(f"E and F must be square of equal size, got {e.shape} and {f.shape}")
@@ -182,11 +184,11 @@ class _DrazinData:
     """
 
     def __init__(self, e: np.ndarray, f: np.ndarray, tol: float, lam: complex | None = None):
-        BlockPair(e, f)  # shape check
+        pair = BlockPair(e, f)  # shape check; lists become arrays
         require_tol(tol)  # a judge's threshold is tol-relative
         if lam is not None and not np.isfinite(lam):
             raise ValueError(f"lam must be finite (no NaN/Inf), got {lam!r}")
-        self.e, self.f, self.tol, self.lam = e, f, tol, lam
+        self.e, self.f, self.tol, self.lam = pair.E, pair.F, tol, lam
         self.verdicts: dict[str, ConditionEntry] = {}
 
     @cached_property
@@ -284,8 +286,10 @@ def _judge(d: _DrazinData, name: str) -> ConditionEntry:
     return d.verdicts[name]
 
 
-def _gate(d: _DrazinData, name: str, row: _Formula) -> NoGroupInverse | None:
-    """Judge the clauses of ``row`` in order; None when every clause holds.
+def _gate(
+    d: _DrazinData, name: str, hypotheses: tuple[str, ...], existence: tuple[str, ...] = ()
+) -> NoGroupInverse | None:
+    """Judge ``hypotheses`` then ``existence`` in order; None when every clause holds.
 
     The first failing hypothesis clause raises HypothesisError, carrying
     the residuals judged so far; failing existence clauses are answered
@@ -293,12 +297,12 @@ def _gate(d: _DrazinData, name: str, row: _Formula) -> NoGroupInverse | None:
     """
     residuals: dict[str, float] = {}
     failed = []
-    for clause in row.clauses:
+    for clause in hypotheses + existence:
         entry = _judge(d, clause)
         residuals[entry.name] = entry.residual
         if entry.passed:
             continue
-        if clause in row.hypotheses:
+        if clause in hypotheses:
             raise HypothesisError(
                 f"{name}: hypothesis {entry.name} fails (residual {entry.residual:.3e}, "
                 f"threshold {entry.threshold:.3e})",
@@ -312,7 +316,7 @@ def _gate(d: _DrazinData, name: str, row: _Formula) -> NoGroupInverse | None:
 def _run(d: _DrazinData, theorem_id: str) -> BlockResult | GroupFormulaBlocks | NoGroupInverse:
     """The one dispatcher: gate the row of ``theorem_id`` on ``d``, then compute its body."""
     row = REGISTRY[theorem_id]
-    return _gate(d, theorem_id, row) or row.body(d)
+    return _gate(d, theorem_id, row.hypotheses, row.existence_clauses) or row.body(d)
 
 
 def _power_sum(a: np.ndarray, c: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
@@ -360,11 +364,11 @@ def lemma22_additive(p: np.ndarray, q: np.ndarray, tol: float = DEFAULT_TOL) -> 
     The P^(i+1) P^pi and Q P^i P^pi series are one sum: P^(ind P) P^pi = 0.
     """
     d = _DrazinData(p, q, tol)  # ShapeError unless P and Q are square of equal size
-    _gate(d, "lemma22", _LEMMAS["lemma22"])
+    _gate(d, "lemma22", ("PQP", "Q2P"))
     pd, qd = d.E.drazin, d.F.drazin
-    return (p + q) @ (
-        pd @ pd @ _power_sum(pd, d.F.idempotent, q, d.F.index)
-        + d.E.idempotent @ _power_sum(p, qd @ qd, qd, d.E.index)
+    return (d.e + d.f) @ (
+        pd @ pd @ _power_sum(pd, d.F.idempotent, d.f, d.F.index)
+        + d.E.idempotent @ _power_sum(d.e, qd @ qd, qd, d.E.index)
         - pd @ qd
     )
 
@@ -372,10 +376,10 @@ def lemma22_additive(p: np.ndarray, q: np.ndarray, tol: float = DEFAULT_TOL) -> 
 def lemma24_additive(p: np.ndarray, q: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """(P+Q)^D under PQ = 0 (checked, tolerance-relative)."""
     d = _DrazinData(p, q, tol)  # ShapeError unless P and Q are square of equal size
-    _gate(d, "lemma24", _LEMMAS["lemma24"])
+    _gate(d, "lemma24", ("PQ",))
     pd, qd = d.E.drazin, d.F.drazin
-    return _power_sum(q, d.F.idempotent @ pd, pd, d.F.index) + _power_sum(
-        qd, qd @ d.E.idempotent, p, d.E.index
+    return _power_sum(d.f, d.F.idempotent @ pd, pd, d.F.index) + _power_sum(
+        qd, qd @ d.E.idempotent, d.e, d.E.index
     )
 
 
@@ -519,12 +523,6 @@ def _to_ef_i0(e, gamma, delta, lam, xi):
     return top, e @ gamma + lam - top @ e, delta, gamma - delta @ e
 
 
-def _to_ei_f0(e, gamma, delta, lam, xi):
-    """Blocks of T X T^-1, the inverse map of :func:`_to_ef_i0`: [[E, F], [I, 0]] to [[E, I], [F, 0]]."""
-    left = gamma - e @ lam
-    return lam @ e + xi, lam, left @ e + delta - e @ xi, left
-
-
 # Transposing or conjugating by T swaps [[E, I], [F, 0]] and [[E, F], [I, 0]];
 # [[E, F], [F, 0]] is its own transpose.
 _MAPPED_PATTERN = {Pattern.EI_F0: Pattern.EF_I0, Pattern.EF_I0: Pattern.EI_F0}
@@ -538,9 +536,9 @@ def _mapped(out, blocks_map):
     return replace(out, pattern=pattern, **dict(zip(names, blocks)))
 
 
-def _similar(base_id: str, blocks_map):
-    """Body of a similarity corollary: the base row's body, its answer mapped through T."""
-    return lambda d: _mapped(REGISTRY[base_id].body(d), partial(blocks_map, d.e))
+def _similar(base_id: str):
+    """Body of a similarity corollary: the base row's body, its answer mapped by :func:`_to_ef_i0`."""
+    return lambda d: _mapped(REGISTRY[base_id].body(d), partial(_to_ef_i0, d.e))
 
 
 def _dual(base_id: str):
@@ -603,9 +601,9 @@ def cor34_group(
 ) -> GroupFormulaBlocks | NoGroupInverse:
     """Group inverse of [[E, I], [F, 0]] under F^pi E F = 0.
 
-    Existence as in :func:`thm33_group`; the :func:`thm33_group` result
-    pushed back through the similarity T = [[0, I], [I, -E]]:
-    T [[E, F], [I, 0]]^# T^-1.
+    Existence as in :func:`thm33_group`: the transpose of
+    :func:`cor32_group` on (E^T, F^T), since [[E, I], [F, 0]]^T =
+    [[E^T, F^T], [I, 0]].
     """
     return _run(_DrazinData(e, f, tol), "cor34")
 
@@ -733,14 +731,13 @@ class _Formula:
     from the holder alone once :func:`_run` has gated the row: a base row
     evaluates its blocks, any other row maps the answer of its base row.
     Only cor35, cor43 and cor44 gate their base row again, via ``_run``.
-    The additive lemmas' rows have no body.
     """
 
-    pattern: Pattern | None
+    pattern: Pattern
     kind: InverseKind
     hypotheses: tuple[str, ...]
     existence_clauses: tuple[str, ...]
-    body: Callable[[_DrazinData], BlockResult | GroupFormulaBlocks] | None
+    body: Callable[[_DrazinData], BlockResult | GroupFormulaBlocks]
 
     @property
     def clauses(self) -> tuple[str, ...]:
@@ -767,25 +764,20 @@ _GROUP = InverseKind.GROUP
 REGISTRY = _Registry({
     "thm23": _Formula(Pattern.EI_F0, InverseKind.G_DRAZIN, ("EFE", "F2E"), (), _thm23),
     "thm25": _Formula(Pattern.EI_F0, InverseKind.G_DRAZIN, _ANTI, (), _anti_triangular),
-    "cor26": _Formula(Pattern.EF_I0, InverseKind.G_DRAZIN, _ANTI, (), _similar("thm25", _to_ef_i0)),
+    "cor26": _Formula(Pattern.EF_I0, InverseKind.G_DRAZIN, _ANTI, (), _similar("thm25")),
     "thm27": _Formula(
         Pattern.EI_F0, InverseKind.DRAZIN, _ANTI, (), lambda d: replace(_anti_triangular(d), kind=InverseKind.DRAZIN)
     ),
     "thm31": _Formula(Pattern.EI_F0, _GROUP, ("FEFpi",), _EXISTS, _thm31),
-    "cor32": _Formula(Pattern.EF_I0, _GROUP, ("FEFpi",), _EXISTS, _similar("thm31", _to_ef_i0)),
+    "cor32": _Formula(Pattern.EF_I0, _GROUP, ("FEFpi",), _EXISTS, _similar("thm31")),
     "thm33": _Formula(Pattern.EF_I0, _GROUP, ("FpiEF",), _EXISTS_T, _dual("thm31")),
-    "cor34": _Formula(Pattern.EI_F0, _GROUP, ("FpiEF",), _EXISTS_T, _similar("thm33", _to_ei_f0)),
+    "cor34": _Formula(Pattern.EI_F0, _GROUP, ("FpiEF",), _EXISTS_T, _dual("cor32")),
     "cor35": _Formula(Pattern.EF_I0, _GROUP, ("EF2-FEF",), _EXISTS_T, lambda d: _run(d, "thm33")),
     "thm41": _Formula(Pattern.EF_F0, _GROUP, ("FFpi", "FEFpi"), ("EEpiFpi",), _thm41),
     "cor42": _Formula(Pattern.EF_F0, _GROUP, ("FFpi", "FpiEF"), ("FpiEpiE",), _dual("thm41")),
     "cor43": _Formula(Pattern.EF_F0, _GROUP, ("EEpi", "FFpi", "FEFpi|FpiEF"), (), _cor43),
     "cor44": _Formula(Pattern.EF_F0, _GROUP, ("EF2-FEF", "EEpi", "FFpi"), (), lambda d: _run(d, "cor43")),
 })
-# The additive lemmas gate like the formulas; they are no formula id.
-_LEMMAS = {
-    "lemma22": _Formula(None, InverseKind.DRAZIN, ("PQP", "Q2P"), (), None),
-    "lemma24": _Formula(None, InverseKind.DRAZIN, ("PQ",), (), None),
-}
 
 
 def _holder(theorem_id: str, e: np.ndarray, f: np.ndarray, tol: float, lam: complex | None):

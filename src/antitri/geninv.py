@@ -78,9 +78,12 @@ class DrazinResult:
     idempotent: np.ndarray
 
 
-def _require_square(a: np.ndarray, what: str) -> None:
+def _require_square(a: np.ndarray, what: str) -> np.ndarray:
+    """``a`` as an array; ShapeError unless it is a square matrix."""
+    a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what} requires a square matrix, got {a.shape}")
+    return a
 
 
 def index_of(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:
@@ -90,7 +93,7 @@ def index_of(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     at one absolute scale; otherwise the noise left in a high power of
     a nilpotent-part matrix would read as full rank.
     """
-    _require_square(a, "index_of")
+    a = _require_square(a, "index_of")
     n = a.shape[0]
     if n == 0:
         return 0
@@ -142,7 +145,7 @@ def drazin(a: np.ndarray, tol: float = DEFAULT_TOL) -> DrazinResult:
     max|a * 2^-e| is in [1/2, 1); OverflowError when A^D has an entry
     beyond the float64 range.
     """
-    _require_square(a, "drazin")
+    a = _require_square(a, "drazin")
     amax = float(np.abs(a).max()) if a.size else 0.0
     if not math.isfinite(amax):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
@@ -174,7 +177,7 @@ def spectral_idempotent(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def group_inverse(a: np.ndarray, tol: float = DEFAULT_TOL) -> DrazinResult:
     """A^# = A^D as ``drazin`` of the result; raises NoGroupInverseError when ind(a) >= 2."""
-    _require_square(a, "group_inverse")
+    a = _require_square(a, "group_inverse")
     r = drazin(a, tol)
     if r.index > 1:
         raise NoGroupInverseError(r.index)

@@ -40,19 +40,9 @@ def assemble(pair: BlockPair) -> np.ndarray:
     return block2x2(pair.E, pair.F, pair.F, z)
 
 
-def oracle_inverse(
-    pair: BlockPair, kind: InverseKind = InverseKind.DRAZIN, tol: float = DEFAULT_TOL
-) -> DrazinResult | NoGroupInverse:
-    """Direct generalized inverse of the assembled matrix.
-
-    For kind Group an index >= 2 yields a NoGroupInverse verdict rather
-    than an exception: nonexistence is an answer the formulas must match.
-    At index <= 1 the Drazin answer is the group inverse.
-    """
-    result = drazin(assemble(pair), tol)
-    if kind is InverseKind.GROUP and result.index > 1:
-        return NoGroupInverse(failed=("oracle_index",), residuals={"ind(M)": float(result.index)})
-    return result
+def oracle_inverse(pair: BlockPair, tol: float = DEFAULT_TOL) -> DrazinResult:
+    """Direct Drazin inverse of the assembled matrix; at index <= 1 it is the group inverse."""
+    return drazin(assemble(pair), tol)
 
 
 def check_compare_tol(tol: float, name: str = "compare tol") -> None:

@@ -214,7 +214,8 @@ def test_criterion_7_duality_and_similarity():
         worst_dual = max(worst_dual, rel_err(dual42.assemble(), base41.assemble().T))
 
         # similarity consistency, recomputed from scratch; cor32 shares
-        # thm31's hypothesis family, cor34 shares thm33's
+        # thm31's hypothesis family, cor34 shares thm33's (its body transposes
+        # cor32, so T thm33 T^-1 is a route it does not take)
         e, f = pair31.E, pair31.F
         n = e.shape[0]
         out32 = cor32_group(e, f)
@@ -223,6 +224,8 @@ def test_criterion_7_duality_and_similarity():
         worst_sim = max(
             worst_sim, rel_err(out32.assemble(), p_inv @ base31.assemble() @ p)
         )
+        dual34 = cor34_group(e.T.copy(), f.T.copy())
+        worst_dual = max(worst_dual, rel_err(dual34.assemble(), out32.assemble().T))
         e, f = pair33.E, pair33.F
         n = e.shape[0]
         out34 = cor34_group(e, f)

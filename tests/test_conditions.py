@@ -146,6 +146,29 @@ def test_generator_sharpness():
             assert produced >= 10, f"{tid}/{clause}: only {produced} sharp violations"
 
 
+def test_scalar_violations_are_refused_by_name_or_sharp():
+    # at n = 1 a violation recipe either names itself in its refusal or
+    # breaks exactly its clause; only the E^pi F^pi family can be broken
+    sharp = set()
+    for tid, row in REGISTRY.items():
+        for clause in row.clauses:
+            for seed in range(20):
+                recipe = GeneratorRecipe(tid, 1, seed, violate=clause)
+                try:
+                    pair = generate(recipe)
+                except InfeasibleRecipeError as err:
+                    assert str(err).startswith(f"recipe {tid} n=1 violate={clause}: "), err
+                    continue
+                rep = check_conditions(pair.E, pair.F, tid)
+                failing = [e.name for e in rep.entries if not e.passed]
+                assert failing == [clause], (recipe, failing)
+                sharp.add((tid, clause))
+    assert sharp == {
+        ("thm31", "EpiFpi"), ("cor32", "EpiFpi"), ("thm33", "FpiEpi"),
+        ("cor34", "FpiEpi"), ("cor35", "FpiEpi"),
+    }
+
+
 def test_generator_determinism():
     for tid in THEOREM_IDS:
         r = GeneratorRecipe(tid, 3, 12345)

@@ -1080,7 +1080,7 @@ DIRECT_BASE = {
     "thm27": ("thm25", False),
     "cor26": ("thm25", False),
     "cor32": ("thm31", False),
-    "cor34": ("thm33", False),
+    "cor34": ("cor32", True),
     "thm33": ("thm31", True),
     "cor42": ("thm41", True),
 }
@@ -1099,8 +1099,8 @@ def test_derived_rows_run_their_base_body_once_gated(monkeypatch):
         assert row.existence_clauses == tuple(map(same, base_row.existence_clauses)), tid
 
     # the transposed holder is plain: nothing judges a clause on it, though
-    # each of the three rows answers through it on an F^pi E F = 0 pair
-    transposed_ids = ("thm33", "cor42", "cor43")
+    # each of the four rows answers through it on an F^pi E F = 0 pair
+    transposed_ids = ("thm33", "cor34", "cor42", "cor43")
     answered = 0
     for pair in pairs_for("cor43", 60, nmax=3, seed=3):
         if _judge(_DrazinData(pair.E, pair.F, DEFAULT_TOL), "FEFpi").passed:
@@ -1127,6 +1127,24 @@ def test_derived_rows_run_their_base_body_once_gated(monkeypatch):
         calls.update(drazin=0, _run=0)
         apply_formula(tid, pair.E, pair.F)
         assert calls["drazin"] <= 2 and calls["_run"] == 1, (tid, calls)
+
+
+def test_nested_lists_answer_as_their_arrays():
+    # a nested list answers as np.asarray of it, bit for bit
+    from antitri import example_45
+
+    zero = [[0.0]]
+    assert apply_formula("thm31", zero, zero) == apply_formula("thm31", np.asarray(zero), np.asarray(zero))
+    assert check_conditions(zero, zero, "thm31") == check_conditions(np.asarray(zero), np.asarray(zero), "thm31")
+    ex = example_45()
+    listed, arrays = thm41_group(ex.E.tolist(), ex.F.tolist()), thm41_group(ex.E, ex.F)
+    for name in ("Gamma", "Delta", "Lambda", "Xi"):
+        assert np.array_equal(getattr(listed, name), getattr(arrays, name)), name
+    a = [[0.0, 1.0], [0.0, 0.0]]
+    listed, arrays = drazin(a), drazin(np.asarray(a))
+    assert listed.index == arrays.index == index_of(a) == index_of(np.asarray(a)) == 2
+    assert np.array_equal(listed.drazin, arrays.drazin)
+    assert np.array_equal(listed.idempotent, arrays.idempotent)
 
 
 def test_one_route_per_call():
