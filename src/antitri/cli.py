@@ -12,6 +12,10 @@ runs).  Each command returns (exit code, command echo, inputs digest,
 fields); :func:`main` wraps them in one report, {"command",
 "inputs_digest", **fields, "wall_time_s"}, written to stdout as JSON.
 
+Only what ``drazin`` needs is imported at the top: each other command
+imports its own modules, so ``block`` loads ``oracle`` only with
+``--verify`` and never loads ``sweep``.
+
 Exit codes: 0 success/verified; 1 hypothesis or verification failure
 (with ``--verify``, a no-group-inverse outcome the oracle contradicts
 too); 2 no-group-inverse outcome (with ``--verify``, one the oracle
@@ -30,21 +34,8 @@ from dataclasses import fields
 
 import numpy as np
 
-from .conditions import (
-    GeneratorRecipe,
-    InfeasibleRecipeError,
-    PATTERN_FOR,
-    THEOREM_IDS,
-    _row_report,
-    check_conditions,
-    example_45,
-    generate,
-)
-from .core import DEFAULT_TOL, matrix
-from .formulas import BlockPair, BlockResult, HypothesisError, NoGroupInverse, _holder, _run
+from .core import COMPARE_TOL, DEFAULT_TOL, matrix
 from .geninv import drazin, verify_drazin_axioms
-from .oracle import COMPARE_TOL, check_compare_tol, compare
-from .sweep import run_sweep
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -113,6 +104,8 @@ def _emit(rep: dict) -> None:
 
 
 def _result_json(result) -> dict:
+    from .formulas import BlockResult, NoGroupInverse
+
     if isinstance(result, NoGroupInverse):
         return {"no_group_inverse": {"failed": list(result.failed), "residuals": result.residuals}}
     extra = "truncation" if isinstance(result, BlockResult) else "diagnostics"
@@ -139,7 +132,12 @@ def cmd_drazin(args):
 
 
 def cmd_block(args):
+    from .conditions import PATTERN_FOR, _row_report, example_45
+    from .formulas import BlockPair, HypothesisError, NoGroupInverse, _holder, _run
+
     if args.verify:  # before the formula runs, so a refused pair cannot hide a bad value
+        from .oracle import check_compare_tol, compare
+
         check_compare_tol(args.compare_tol, "--compare-tol")
     if args.fixture == "example45":
         pair = example_45()
@@ -175,6 +173,8 @@ def cmd_block(args):
 
 
 def cmd_gen(args):
+    from .conditions import GeneratorRecipe, InfeasibleRecipeError, check_conditions, generate
+
     recipe = GeneratorRecipe(
         theorem_id=args.theorem, dimension=args.n, seed=args.seed, violate=args.violate
     )
@@ -194,6 +194,9 @@ def cmd_gen(args):
 
 
 def cmd_sweep(args):
+    from .conditions import THEOREM_IDS
+    from .sweep import run_sweep
+
     ids = THEOREM_IDS if args.theorem == "all" else (args.theorem,)
     summaries = []
     ok = True
@@ -219,6 +222,25 @@ def cmd_sweep(args):
     return (EXIT_OK if ok else EXIT_FAIL), ["sweep", *ids], "-", {"summary": summaries}
 
 
+class _FormulaIds:
+    """``--theorem`` choices: the ``REGISTRY`` ids, read only when a value is checked or listed.
+
+    ``in`` iterates.  Building the parser does neither (each ``--theorem``
+    has a metavar), so ``drazin`` never loads ``formulas``.
+    """
+
+    def __init__(self, *extra: str):
+        self.extra = extra
+
+    def __iter__(self):
+        from .formulas import REGISTRY
+
+        return iter((*self.extra, *sorted(REGISTRY)))
+
+
+_ID_HELP = "a formula id such as thm41; an unknown id lists them all"
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit EXIT_IO: argparse's own code, 2, means no group inverse here."""
 
@@ -242,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("block", help="run a block formula on (E, F)")
     p.add_argument("E", nargs="?", help="path to the E matrix file")
     p.add_argument("F", nargs="?", help="path to the F matrix file")
-    p.add_argument("--theorem", required=True, choices=sorted(PATTERN_FOR))
+    p.add_argument("--theorem", required=True, choices=_FormulaIds(), metavar="ID", help=_ID_HELP)
     p.add_argument("--fixture", choices=["example45"], default=None)
     p.add_argument("--verify", action="store_true", help="compare against the brute-force oracle")
     p.add_argument("--lam", type=complex, default=None, help="scalar for the EF = lam FE hypothesis")
@@ -253,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a hypothesis-satisfying (E, F) pair")
     p.add_argument("e_out", help="output path for E")
     p.add_argument("f_out", help="output path for F")
-    p.add_argument("--theorem", required=True, choices=sorted(PATTERN_FOR))
+    p.add_argument("--theorem", required=True, choices=_FormulaIds(), metavar="ID", help=_ID_HELP)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--violate", default=None, help="clause name to break deliberately")
@@ -261,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("sweep", help="batch generated instances through formula + oracle")
-    p.add_argument("--theorem", default="all", choices=("all", *sorted(PATTERN_FOR)))
+    p.add_argument("--theorem", default="all", choices=_FormulaIds("all"), metavar="ID",
+                   help="all, or " + _ID_HELP)
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--nmax", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_TOL = 1e-10
+COMPARE_TOL = 1e-8  # the oracle's: looser than DEFAULT_TOL, as series terms compound rounding
 
 
 class ShapeError(ValueError):
@@ -123,6 +124,7 @@ def frobenius_norm(a: np.ndarray) -> float:
 
 def matrix_power(a: np.ndarray, k: int) -> np.ndarray:
     """a**k with a**0 == identity; k must be a nonnegative integer."""
+    a = np.asarray(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeError("matrix_power requires a square matrix")
     if k < 0:
@@ -226,6 +228,7 @@ def solve(
     a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0
 ) -> np.ndarray:
     """Solve a @ x = b (b 1-d or 2-d) by LAPACK LU; SingularMatrixError if a is singular to tol."""
+    a, b = np.asarray(a), np.asarray(b)
     if b.shape[0] != a.shape[0]:
         raise ShapeError(f"shape mismatch for solve: {a.shape} vs {b.shape}")
     return np.linalg.solve(_certified(a, tol, floor), b)
@@ -233,7 +236,7 @@ def solve(
 
 def invert(a: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> np.ndarray:
     """a^-1 by LAPACK ``inv``; SingularMatrixError if a is singular to tol."""
-    return np.linalg.inv(_certified(a, tol, floor))
+    return np.linalg.inv(_certified(np.asarray(a), tol, floor))
 
 
 def block2x2(tl: np.ndarray, tr: np.ndarray, bl: np.ndarray, br: np.ndarray) -> np.ndarray:

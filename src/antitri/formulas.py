@@ -342,6 +342,7 @@ def lemma21_triangular(
     Z = sum (B^D)^(i+2) C A^i A^pi + sum B^i B^pi C (A^D)^(i+2) - B^D C A^D,
     the sums cut at ind(A) and ind(B).
     """
+    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
     if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
         raise ShapeError("lemma21_triangular requires square diagonal blocks")
     if c.shape != (b.shape[0], a.shape[1]):
@@ -385,6 +386,7 @@ def lemma24_additive(p: np.ndarray, q: np.ndarray, tol: float = DEFAULT_TOL) -> 
 
 def cline(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """(A B)^D = A ((B A)^D)^2 B, transferring Drazin data between products."""
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape[1] != b.shape[0] or a.shape[0] != b.shape[1]:
         raise ShapeError(f"cline requires conformable A (n x m), B (m x n); got {a.shape}, {b.shape}")
     d = drazin(b @ a, tol).drazin

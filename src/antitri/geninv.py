@@ -190,21 +190,30 @@ def verify_drazin_axioms(
     """Residuals of AX=XA, XAX=X and A^(k+1)X = A^k, scale-relative.
 
     AX and XA are formed once: the residuals are AX - XA, (XA)X - X and
-    A^k (AX) - A^k.  Each is compared against tol * max(1, |a|_F) *
-    max(1, |x|_F) and passes only when residual <= threshold < inf, so
-    a threshold that overflowed passes nothing.
+    A^k (AX) - A^k.  The last is formed with A * 2^-e in place of A, e
+    the binary exponent of |A|_F, so that A^k cannot overflow, and is
+    scaled back by 2^(ke).  Powers of two scale exactly, so a residual
+    in the normal range is the unscaled one value for value.  X is never
+    scaled: for an X that is not A's inverse, X * 2^e could overflow
+    where X itself does not.  Each residual is compared against
+    tol * max(1, |a|_F) * max(1, |x|_F) and passes only when
+    residual <= threshold < inf, so a threshold that overflowed passes
+    nothing.
     """
+    a, x = np.asarray(a), np.asarray(x)
     if a.shape != x.shape or a.shape[0] != a.shape[1]:
         raise ShapeError(f"axiom check needs equal square shapes, got {a.shape} and {x.shape}")
-    scale = max(1.0, frobenius_norm(a)) * max(1.0, frobenius_norm(x))
-    threshold = tol * scale
-    ak = matrix_power(a, k)
+    norm_a = frobenius_norm(a)
+    threshold = tol * (max(1.0, norm_a) * max(1.0, frobenius_norm(x)))
+    e = math.frexp(norm_a)[1]  # |A * 2^-e|_F < 1, so every power of it is below 1 too
+    ak = matrix_power(_times_pow2(a, -e), k)  # A^k * 2^-ke
     ax = a @ x
     xa = x @ a
+    power = frobenius_norm(ak @ ax - ak)  # AX is a bounded projector
     checks = [
         ("commutation", frobenius_norm(ax - xa)),
         ("inner", frobenius_norm(xa @ x - x)),
-        ("eventual-power", frobenius_norm(ak @ ax - ak)),  # AX is a bounded projector
+        ("eventual-power", _times_pow2_scalar(power, k * e)),
     ]
     return ConditionReport(
         tuple(
@@ -212,3 +221,11 @@ def verify_drazin_axioms(
             for name, r in checks
         )
     )
+
+
+def _times_pow2_scalar(r: float, k: int) -> float:
+    """r * 2**k, inf where that overflows."""
+    try:
+        return math.ldexp(r, k)
+    except OverflowError:
+        return math.inf

@@ -13,12 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, block2x2, frobenius_norm, identity, zeros
+from .core import COMPARE_TOL, DEFAULT_TOL, block2x2, frobenius_norm, identity, zeros
 from .geninv import DrazinResult, drazin, verify_drazin_axioms
 from .formulas import BlockPair, BlockResult, GroupFormulaBlocks, InverseKind, NoGroupInverse, Pattern
 from .reports import ConditionReport
-
-COMPARE_TOL = 1e-8  # looser than the computation tolerance: series terms compound rounding
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,50 @@ def test_cmd_drazin_report_is_strict_json_at_extreme_scale(tmp_path, capsys):
     assert rep["result"]["drazin"]["data"][0][0] == pytest.approx([2.5e-201, 0.0])
 
 
+def test_cmd_drazin_of_a_nilpotent_at_extreme_scale_is_strict_json(tmp_path, capsys):
+    # (1e200 J4)^4 overflowed in the eventual-power residual: NaN, and exit 3
+    def refuse(name):
+        raise ValueError(f"non-finite {name} in the report")
+
+    p = tmp_path / "j4.json"
+    write_matrix(str(p), 1e200 * jordan_nilpotent(4))
+    assert main(["drazin", str(p)]) == EXIT_OK
+    rep = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert rep["result"]["index"] == 4
+    assert not matrix_from_json(rep["result"]["drazin"]).any()
+    assert rep["result"]["residuals"] == [0.0, 0.0, 0.0]
+
+
+# Runs ``antitri <argv>`` as ``python -m antitri.cli`` would, then prints on its
+# last stderr line the exit code and which lazily registered modules executed;
+# type() reads a lazy module's class without loading it.
+_LOAD_PROBE = """
+import runpy, sys, types
+try:
+    runpy.run_module("antitri.cli", run_name="__main__", alter_sys=True)
+except SystemExit as stop:
+    code = stop.code
+lazy = ("formulas", "conditions", "oracle", "sweep")
+print(code, *[n for n in lazy if type(sys.modules["antitri." + n]) is types.ModuleType], file=sys.stderr)
+"""
+
+
+def executed_modules(*argv):
+    """(exit code, the lazy modules executed) of one fresh ``antitri`` process."""
+    proc = subprocess.run([sys.executable, "-c", _LOAD_PROBE, *argv], capture_output=True, text=True)
+    code, *loaded = proc.stderr.splitlines()[-1].split()
+    return int(code), loaded
+
+
+def test_each_command_executes_only_the_modules_it_needs(tmp_path):
+    p = tmp_path / "a.json"
+    write_matrix(str(p), matrix([[1, 1], [0, 0]]))
+    assert executed_modules("drazin", str(p)) == (EXIT_OK, [])
+    block = ["block", "--fixture", "example45", "--theorem", "thm41"]
+    assert executed_modules(*block) == (EXIT_OK, ["formulas", "conditions"])
+    assert executed_modules(*block, "--verify") == (EXIT_OK, ["formulas", "conditions", "oracle"])
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -9,6 +9,7 @@ import pytest
 
 from antitri import (
     BlockPair,
+    BlockResult,
     GeneratorRecipe,
     HypothesisError,
     InfeasibleRecipeError,
@@ -38,12 +39,14 @@ from antitri import (
     lemma24_additive,
     matrix,
     matrix_power,
+    solve,
     thm23,
     thm25,
     thm27,
     thm31_group,
     thm33_group,
     thm41_group,
+    verify_drazin_axioms,
     zeros,
 )
 from antitri.core import DEFAULT_TOL, block2x2
@@ -1145,6 +1148,31 @@ def test_nested_lists_answer_as_their_arrays():
     assert listed.index == arrays.index == index_of(a) == index_of(np.asarray(a)) == 2
     assert np.array_equal(listed.drazin, arrays.drazin)
     assert np.array_equal(listed.idempotent, arrays.idempotent)
+
+
+_SQ, _NIL = [[2.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0]]
+_LIST_CASES = [
+    (solve, (_SQ, [1.0, 2.0])),
+    (invert, (_SQ,)),
+    (matrix_power, (_SQ, 3)),
+    (verify_drazin_axioms, (_NIL, [[0.0, 0.0], [0.0, 0.0]], 2)),
+    (lemma21_triangular, (_SQ, _NIL, [[1.0, 0.0], [0.0, 1.0]])),
+    (cline, (_SQ, _NIL)),
+]
+
+
+@pytest.mark.parametrize("fn, args", _LIST_CASES, ids=[fn.__name__ for fn, _ in _LIST_CASES])
+def test_matrix_entry_points_take_nested_lists(fn, args):
+    # each converts its matrix arguments at entry: a list answers as np.asarray of it, bit for bit
+    listed = fn(*args)
+    arrays = fn(*(np.asarray(a) if isinstance(a, list) else a for a in args))
+    if isinstance(listed, BlockResult):
+        assert listed.truncation == arrays.truncation
+        listed, arrays = listed.assemble(), arrays.assemble()
+    if isinstance(listed, np.ndarray):
+        assert listed.dtype == arrays.dtype and np.array_equal(listed, arrays)
+    else:
+        assert listed == arrays
 
 
 def test_one_route_per_call():

@@ -147,6 +147,20 @@ def test_axiom_residuals_are_the_unshared_expressions_bit_for_bit(rng):
                 assert got == unshared(b, y, k), (n, k)
 
 
+def test_axiom_power_residual_is_scale_free_and_in_range_unchanged(rng):
+    # A^k of 1e200 J4 overflows, so the residual is formed on A * 2^-e and scaled
+    # back; wherever A^k is in range that is the unscaled residual bit for bit
+    rep = verify_drazin_axioms(1e200 * jordan_nilpotent(4), zeros(4, 4), 4)
+    assert [e.residual for e in rep.entries] == [0.0, 0.0, 0.0] and rep.overall
+    for scale in (1e-5, 2.0**-30, 3.0, 1e5, 2.0**30):
+        a = scale * mixed_similarity(rng, 6)[0]
+        x = drazin(a).drazin
+        for k in range(4):
+            ak = matrix_power(a, k)
+            got = verify_drazin_axioms(a, x, k).entry("eventual-power").residual
+            assert got == frobenius_norm(ak @ (a @ x) - ak), (scale, k)
+
+
 def test_axioms_fail_under_an_infinite_threshold():
     # |a|_F |x|_F overflows: an inf threshold used to pass all three
     a = diag(1e300, 0)
