@@ -5,6 +5,9 @@ Matrices travel in a JSON format with explicit [re, im] entry pairs:
     {"rows": 2, "cols": 2, "data": [[[1.0, 0.0], [0.0, 1.0]],
                                     [[0.0, 0.0], [2.5, -1.0]]]}
 
+``rows`` and ``cols`` are JSON integers and each entry exactly two JSON
+numbers; anything else is malformed input.
+
 Commands: ``drazin`` (generalized inverse of one matrix), ``block``
 (run a block formula, optionally verified against the oracle), ``gen``
 (write a generated instance pair), ``sweep`` (batch formula-vs-oracle
@@ -55,21 +58,30 @@ def matrix_to_json(a: np.ndarray) -> dict:
     }
 
 
+def _entries_are_pairs(data: list) -> bool:
+    """Each entry is [re, im] of two JSON numbers; type() is exact, so a bool is not one."""
+    pairs = all(type(c) is list and len(c) == 2 for row in data for c in row)
+    return pairs and {type(x) for row in data for c in row for x in c} <= {int, float}
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError) as err:
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    except (KeyError, TypeError) as err:
         raise InputError(f"malformed matrix object: {err}") from None
+    if type(rows) is not int or type(cols) is not int:
+        raise InputError("malformed matrix object: rows and cols must be integers")
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise InputError("malformed matrix object: data must be a list of rows")
     if rows < 1 or cols < 1:
         raise InputError("rows and cols must be positive")
     if len(data) != rows or any(len(r) != cols for r in data):
         raise InputError("data dimensions do not match rows/cols")
+    if not _entries_are_pairs(data):
+        raise InputError("malformed matrix entries: each entry must be [re, im], two numbers")
     try:
-        values = [[complex(c[0], c[1]) for c in row] for row in data]
-        return matrix(values)
-    except (TypeError, IndexError, ValueError) as err:
+        return matrix([[complex(re, im) for re, im in row] for row in data])
+    except ValueError as err:
         raise InputError(f"malformed matrix entries: {err}") from None
 
 
@@ -85,9 +97,12 @@ def read_matrix(path: str) -> np.ndarray:
 
 
 def write_matrix(path: str, a: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json(a), fh)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(matrix_to_json(a), fh)
+            fh.write("\n")
+    except OSError as err:
+        raise InputError(f"cannot write {path}: {err}") from None
 
 
 def _digest(*mats: np.ndarray) -> str:

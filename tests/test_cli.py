@@ -148,14 +148,30 @@ def test_cmd_block_missing_or_unreadable_input_exits_3(tmp_path, capsys):
         assert message in captured.err, paths
 
 
-@pytest.mark.parametrize("data", [5, [5]], ids=["number", "list_of_numbers"])
-def test_cmd_drazin_data_not_a_list_of_rows_is_an_input_error(tmp_path, capsys, data):
-    # len() of a non-list data raised TypeError, which exited 1 with a traceback
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        pytest.param({"rows": 1, "cols": 1, "data": 5}, "malformed matrix object", id="number"),
+        pytest.param({"rows": 1, "cols": 1, "data": [5]}, "malformed matrix object", id="list_of_numbers"),
+        pytest.param({"rows": 1.5, "cols": 1, "data": [[[1, 0]]]}, "malformed matrix object", id="float_rows"),
+        pytest.param({"rows": True, "cols": 1, "data": [[[1, 0]]]}, "malformed matrix object", id="bool_rows"),
+        pytest.param({"rows": 1, "cols": True, "data": [[[1, 0]]]}, "malformed matrix object", id="bool_cols"),
+        pytest.param({"rows": 1, "cols": 1, "data": [[{"0": 1, "1": 2}]]}, "malformed matrix entries",
+                     id="object_entry"),
+        pytest.param({"rows": 1, "cols": 1, "data": [[[1, 2, 3]]]}, "malformed matrix entries", id="three_parts"),
+        pytest.param({"rows": 1, "cols": 1, "data": [[[True, 0]]]}, "malformed matrix entries", id="bool_part"),
+        pytest.param({"rows": 1, "cols": 1, "data": [[["1", 0]]]}, "malformed matrix entries", id="string_part"),
+    ],
+)
+def test_cmd_drazin_data_not_a_list_of_rows_is_an_input_error(tmp_path, capsys, obj, message):
+    # len() of a non-list data raised TypeError, which exited 1 with a traceback;
+    # an object entry raised KeyError the same way, [1, 2, 3] read as 1+2j and
+    # rows 1.5 or true as 1
     p = tmp_path / "bad.json"
-    p.write_text(json.dumps({"rows": 1, "cols": 1, "data": data}))
+    p.write_text(json.dumps(obj))
     assert main(["drazin", str(p)]) == EXIT_IO
     captured = capsys.readouterr()
-    assert captured.out == "" and "malformed matrix object" in captured.err
+    assert captured.out == "" and message in captured.err
 
 
 def test_cmd_drazin_unrepresentable_inverse_is_an_input_error(tmp_path, capsys):
@@ -204,7 +220,7 @@ try:
     runpy.run_module("antitri.cli", run_name="__main__", alter_sys=True)
 except SystemExit as stop:
     code = stop.code
-lazy = ("formulas", "conditions", "oracle", "sweep")
+lazy = ("core", "geninv", "reports", "formulas", "conditions", "oracle", "sweep")
 print(code, *[n for n in lazy if type(sys.modules["antitri." + n]) is types.ModuleType], file=sys.stderr)
 """
 
@@ -219,10 +235,11 @@ def executed_modules(*argv):
 def test_each_command_executes_only_the_modules_it_needs(tmp_path):
     p = tmp_path / "a.json"
     write_matrix(str(p), matrix([[1, 1], [0, 0]]))
-    assert executed_modules("drazin", str(p)) == (EXIT_OK, [])
+    kernel = ["core", "geninv", "reports"]
+    assert executed_modules("drazin", str(p)) == (EXIT_OK, kernel)
     block = ["block", "--fixture", "example45", "--theorem", "thm41"]
-    assert executed_modules(*block) == (EXIT_OK, ["formulas", "conditions"])
-    assert executed_modules(*block, "--verify") == (EXIT_OK, ["formulas", "conditions", "oracle"])
+    assert executed_modules(*block) == (EXIT_OK, [*kernel, "formulas", "conditions"])
+    assert executed_modules(*block, "--verify") == (EXIT_OK, [*kernel, "formulas", "conditions", "oracle"])
 
 
 @pytest.mark.parametrize(
@@ -319,6 +336,14 @@ def test_cmd_gen_violation_no_group(tmp_path, capsys):
     assert not rep["conditions"]["overall"]
     code, rep = run_cli(capsys, "block", e, f, "--theorem", "thm31")
     assert code == EXIT_NO_GROUP
+
+
+def test_cmd_gen_unwritable_output_is_an_input_error(tmp_path, capsys):
+    # open() on a missing directory raised FileNotFoundError, which exited 1 with a traceback
+    e, f = str(tmp_path / "no" / "such" / "e.json"), str(tmp_path / "f.json")
+    code = main(["gen", e, f, "--theorem", "thm31", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_IO and captured.out == "" and "cannot write" in captured.err
 
 
 def test_cmd_gen_infeasible(tmp_path, capsys):
