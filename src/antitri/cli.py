@@ -154,6 +154,8 @@ def cmd_block(args):
         from .oracle import check_compare_tol, compare
 
         check_compare_tol(args.compare_tol, "--compare-tol")
+    if args.fixture and (args.E or args.F):
+        raise InputError("provide E and F paths or --fixture example45, not both")
     if args.fixture == "example45":
         pair = example_45()
         e, f = pair.E, pair.F

@@ -4,8 +4,10 @@ Everything downstream (generalized inverses, block formulas, the
 verification oracle) is built from the handful of operations in this
 module: arithmetic, Frobenius norms, pivoted elimination for rank
 decisions, and linear solves.  Matrices are plain ``numpy.ndarray``
-objects with dtype ``complex128``; :func:`matrix` is the validating
-constructor that rejects non-finite entries.
+objects with dtype ``complex128``: every entry point here or in ``geninv``
+or ``formulas`` converts a square matrix through :func:`square_matrix`,
+the one input boundary, and a rectangular one through :func:`matrix`, so
+int input never wraps, and a complex128 array passes as itself.
 
 Rank decisions use Gaussian elimination with complete pivoting (GECP)
 and a threshold relative to the largest pivot (default ``1e-10``).
@@ -64,6 +66,14 @@ def matrix(data) -> np.ndarray:
     return a
 
 
+def square_matrix(data, what: str) -> np.ndarray:
+    """``data`` as a 2-d complex128 array; ShapeError, naming ``what``, unless it is square."""
+    a = np.asarray(data, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"{what}: expected a square matrix, got shape {a.shape}")
+    return a
+
+
 def require_finite(*arrays: np.ndarray) -> None:
     """Raise ValueError when any entry of the arrays is NaN or Inf."""
     if not all(np.isfinite(a).all() for a in arrays):
@@ -107,6 +117,7 @@ def frobenius_norm(a: np.ndarray) -> float:
     scale exactly, so that sum neither overflows nor, for a matrix of
     tiny entries, underflows to 0.
     """
+    a = np.asarray(a, dtype=np.complex128)  # an int64 vdot would wrap
     s = np.vdot(a, a).real
     if 2.0**-900 <= s < math.inf:
         return math.sqrt(s)
@@ -124,9 +135,7 @@ def frobenius_norm(a: np.ndarray) -> float:
 
 def matrix_power(a: np.ndarray, k: int) -> np.ndarray:
     """a**k with a**0 == identity; k must be a nonnegative integer."""
-    a = np.asarray(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError("matrix_power requires a square matrix")
+    a = square_matrix(a, "matrix_power")
     if k < 0:
         raise ValueError("matrix_power exponent must be nonnegative")
     result = None  # until the first power is taken: no product with the identity
@@ -214,21 +223,18 @@ def rank(a: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> int:
 
 
 def _certified(a: np.ndarray, tol: float, floor: float) -> np.ndarray:
-    """a as complex128, once the elimination has certified it square of full rank."""
-    r = rank_factorize(a, tol, floor).rank
-    n, m = a.shape
-    if n != m:
-        raise ShapeError(f"solve requires a square matrix, got {a.shape}")
+    """The square a, once the elimination has certified it of full rank."""
+    r, n = rank_factorize(a, tol, floor).rank, a.shape[0]
     if r < n:
         raise SingularMatrixError(f"matrix is singular to tolerance {tol:g} (rank {r} < {n})")
-    return np.asarray(a, dtype=np.complex128)
+    return a
 
 
 def solve(
     a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0
 ) -> np.ndarray:
     """Solve a @ x = b (b 1-d or 2-d) by LAPACK LU; SingularMatrixError if a is singular to tol."""
-    a, b = np.asarray(a), np.asarray(b)
+    a, b = square_matrix(a, "solve"), np.asarray(b)
     if b.shape[0] != a.shape[0]:
         raise ShapeError(f"shape mismatch for solve: {a.shape} vs {b.shape}")
     return np.linalg.solve(_certified(a, tol, floor), b)
@@ -236,7 +242,7 @@ def solve(
 
 def invert(a: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> np.ndarray:
     """a^-1 by LAPACK ``inv``; SingularMatrixError if a is singular to tol."""
-    return np.linalg.inv(_certified(np.asarray(a), tol, floor))
+    return np.linalg.inv(_certified(square_matrix(a, "invert"), tol, floor))
 
 
 def block2x2(tl: np.ndarray, tr: np.ndarray, bl: np.ndarray, br: np.ndarray) -> np.ndarray:

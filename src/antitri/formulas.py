@@ -70,9 +70,11 @@ from .core import (
     block2x2,
     frobenius_norm,
     identity,
+    matrix,
     require_finite,
     require_tol,
     split2x2,
+    square_matrix,
     zeros,
 )
 from .geninv import DrazinResult, drazin
@@ -100,21 +102,28 @@ class HypothesisError(ArithmeticError):
         self.clause = clause
 
 
+def _square_pair(e, f) -> tuple[np.ndarray, np.ndarray]:  # the BlockPair contract, for _DrazinData too
+    what = "E and F must be square of equal size"
+    e, f = square_matrix(e, what), square_matrix(f, what)
+    if e.shape != f.shape:
+        raise ShapeError(f"{what}, got {e.shape} and {f.shape}")
+    require_finite(e, f)
+    return e, f
+
+
 @dataclass(frozen=True)
 class BlockPair:
-    """A pair (E, F) of equal-size square blocks plus the assembly pattern; E and F are kept as arrays."""
+    """A pair (E, F) of finite, equal-size square complex128 blocks plus the assembly pattern."""
 
     E: np.ndarray
     F: np.ndarray
     pattern: Pattern = Pattern.EI_F0
 
     def __post_init__(self):
-        object.__setattr__(self, "E", np.asarray(self.E))
-        object.__setattr__(self, "F", np.asarray(self.F))
-        e, f = self.E, self.F
-        if e.ndim != 2 or e.shape != f.shape or e.shape[0] != e.shape[1]:
-            raise ShapeError(f"E and F must be square of equal size, got {e.shape} and {f.shape}")
-        require_finite(e, f)
+        if not isinstance(self.pattern, Pattern):  # assemble would read any other value as EF_F0
+            raise ValueError(f"pattern must be a Pattern member, got {self.pattern!r}")
+        for name, block in zip("EF", _square_pair(self.E, self.F)):
+            object.__setattr__(self, name, block)
 
 
 @dataclass(frozen=True)
@@ -184,11 +193,10 @@ class _DrazinData:
     """
 
     def __init__(self, e: np.ndarray, f: np.ndarray, tol: float, lam: complex | None = None):
-        pair = BlockPair(e, f)  # shape check; lists become arrays
+        (self.e, self.f), self.tol, self.lam = _square_pair(e, f), tol, lam
         require_tol(tol)  # a judge's threshold is tol-relative
         if lam is not None and not np.isfinite(lam):
             raise ValueError(f"lam must be finite (no NaN/Inf), got {lam!r}")
-        self.e, self.f, self.tol, self.lam = pair.E, pair.F, tol, lam
         self.verdicts: dict[str, ConditionEntry] = {}
 
     @cached_property
@@ -342,12 +350,9 @@ def lemma21_triangular(
     Z = sum (B^D)^(i+2) C A^i A^pi + sum B^i B^pi C (A^D)^(i+2) - B^D C A^D,
     the sums cut at ind(A) and ind(B).
     """
-    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
-    if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
-        raise ShapeError("lemma21_triangular requires square diagonal blocks")
+    a, b, c = square_matrix(a, "lemma21_triangular"), square_matrix(b, "lemma21_triangular"), matrix(c)
     if c.shape != (b.shape[0], a.shape[1]):
         raise ShapeError(f"C must be {b.shape[0]} x {a.shape[1]}, got {c.shape}")
-    require_finite(c)
     ra, rb = drazin(a, tol), drazin(b, tol)
     ad, bd = ra.drazin, rb.drazin
     z = (
@@ -386,8 +391,8 @@ def lemma24_additive(p: np.ndarray, q: np.ndarray, tol: float = DEFAULT_TOL) -> 
 
 def cline(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """(A B)^D = A ((B A)^D)^2 B, transferring Drazin data between products."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape[1] != b.shape[0] or a.shape[0] != b.shape[1]:
+    a, b = matrix(a), matrix(b)
+    if a.shape != b.shape[::-1]:
         raise ShapeError(f"cline requires conformable A (n x m), B (m x n); got {a.shape}, {b.shape}")
     d = drazin(b @ a, tol).drazin
     return a @ d @ d @ b

@@ -52,6 +52,7 @@ from .core import (
     rank,
     rank_factorize,
     ShapeError,
+    square_matrix,
     zeros,
 )
 from .reports import ConditionEntry, ConditionReport
@@ -78,14 +79,6 @@ class DrazinResult:
     idempotent: np.ndarray
 
 
-def _require_square(a: np.ndarray, what: str) -> np.ndarray:
-    """``a`` as an array; ShapeError unless it is a square matrix."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"{what} requires a square matrix, got {a.shape}")
-    return a
-
-
 def index_of(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     """Smallest k >= 0 with rank(a^k) == rank(a^(k+1)); always <= n.
 
@@ -93,7 +86,7 @@ def index_of(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     at one absolute scale; otherwise the noise left in a high power of
     a nilpotent-part matrix would read as full rank.
     """
-    a = _require_square(a, "index_of")
+    a = square_matrix(a, "index_of")
     n = a.shape[0]
     if n == 0:
         return 0
@@ -120,7 +113,7 @@ def _drazin_core(a: np.ndarray, tol: float, floor: float) -> tuple[np.ndarray, i
     while True:
         f = rank_factorize(a, tol, floor)  # f.rank = rank(A_j) = rank(A^(j+1))
         if f.rank == prev_rank:  # A_j is invertible and ind(A) = j
-            x = np.linalg.inv(np.asarray(a, dtype=np.complex128))  # full rank certified by f
+            x = np.linalg.inv(a)  # full rank certified by f
             break
         if f.rank == 0:  # A^(j+1) = 0
             return zeros(n, n), len(levels) + 1
@@ -145,7 +138,7 @@ def drazin(a: np.ndarray, tol: float = DEFAULT_TOL) -> DrazinResult:
     max|a * 2^-e| is in [1/2, 1); OverflowError when A^D has an entry
     beyond the float64 range.
     """
-    a = _require_square(a, "drazin")
+    a = square_matrix(a, "drazin")
     amax = float(np.abs(a).max()) if a.size else 0.0
     if not math.isfinite(amax):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
@@ -177,7 +170,6 @@ def spectral_idempotent(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def group_inverse(a: np.ndarray, tol: float = DEFAULT_TOL) -> DrazinResult:
     """A^# = A^D as ``drazin`` of the result; raises NoGroupInverseError when ind(a) >= 2."""
-    a = _require_square(a, "group_inverse")
     r = drazin(a, tol)
     if r.index > 1:
         raise NoGroupInverseError(r.index)
@@ -200,8 +192,8 @@ def verify_drazin_axioms(
     residual <= threshold < inf, so a threshold that overflowed passes
     nothing.
     """
-    a, x = np.asarray(a), np.asarray(x)
-    if a.shape != x.shape or a.shape[0] != a.shape[1]:
+    a, x = square_matrix(a, "verify_drazin_axioms"), square_matrix(x, "verify_drazin_axioms")
+    if a.shape != x.shape:
         raise ShapeError(f"axiom check needs equal square shapes, got {a.shape} and {x.shape}")
     norm_a = frobenius_norm(a)
     threshold = tol * (max(1.0, norm_a) * max(1.0, frobenius_norm(x)))

@@ -480,3 +480,16 @@ def test_cmd_block_bad_tol_is_an_input_error_for_every_id(capsys, tol):
             capsys, "block", "--fixture", "example45", "--theorem", theorem, "--tol", tol
         )
         assert code == EXIT_IO and rep is None, (theorem, tol)
+
+
+def test_cmd_block_files_and_fixture_together_exit_3(tmp_path, capsys):
+    # the fixture ran and both files were dropped without a word
+    e, f = tmp_path / "e.json", tmp_path / "f.json"
+    pair = generate(GeneratorRecipe("thm41", 2, 0))
+    write_matrix(str(e), pair.E)
+    write_matrix(str(f), pair.F)
+    for paths in ([str(e), str(f)], [str(e)]):
+        code = main(["block", *paths, "--theorem", "thm41", "--fixture", "example45"])
+        captured = capsys.readouterr()
+        assert code == EXIT_IO and not captured.out, paths
+        assert "not both" in captured.err, paths

@@ -143,6 +143,23 @@ def test_matrix_power_examples():
     assert np.array_equal(matrix_power(jordan_nilpotent(2), 2), zeros(2, 2))
 
 
+def test_frobenius_norm_of_integer_input_is_exact():
+    # an int64 vdot wrapped (2^32 + 1)^2 and the norm read 92681.9
+    assert frobenius_norm(np.array([[2**32 + 1, 0]])) == 2**32 + 1
+
+
+def test_matrix_power_of_integer_input_is_exact():
+    # as int64 the square of 2^32 wrapped to 0
+    squared = matrix_power(np.array([[2**32]]), 2)
+    assert squared.dtype == np.complex128 and squared[0, 0] == 2**64
+
+
+def test_matrix_power_refuses_a_1d_array():
+    # a.shape[1] of a 1-d array raised IndexError before the shape check
+    with pytest.raises(ShapeError):
+        matrix_power(np.zeros(3), 2)
+
+
 def test_rank_factorize_examples():
     assert rank_factorize(zeros(3, 3), 1e-10).rank == 0
     assert rank_factorize(identity(3)).rank == 3

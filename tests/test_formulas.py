@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import pathlib
 import subprocess
@@ -1175,6 +1176,73 @@ def test_matrix_entry_points_take_nested_lists(fn, args):
         assert listed == arrays
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_int_and_float_input_is_computed_in_complex128(dtype):
+    # every entry point converts through the core boundary, so int and float
+    # input answers as complex128 input does, bit for bit; as int64, the
+    # products of 2^32 wrapped
+    e, f = np.array([[2, 0], [0, 0]], dtype), np.array([[0, 0], [0, 3]], dtype)
+    sq, big = np.array([[2, 1], [0, 1]], dtype), np.array([[0, 2**32], [0, 0]], dtype)
+
+    def answers(c):
+        r = drazin(c(big))
+        axioms = verify_drazin_axioms(c(big), c(np.zeros((2, 2), dtype)), 2)
+        blocks = [
+            BlockPair(c(e), c(f)).E,
+            r.drazin,
+            r.idempotent,
+            matrix_power(c(big), 2),
+            invert(c(sq)),
+            solve(c(sq), c(sq)),
+            lemma21_triangular(c(sq), c(big), c(sq)).assemble(),
+            cline(c(big), c(sq)),
+            # this pair meets every row's hypotheses and existence clauses
+            *(apply_formula(tid, c(e), c(f)).assemble() for tid in REGISTRY),
+        ]
+        return blocks, [x.residual for x in axioms.entries]
+
+    got, got_residuals = answers(lambda m: m)
+    want, want_residuals = answers(lambda m: m.astype(np.complex128))
+    assert got_residuals == want_residuals
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == np.complex128 and g.tobytes() == w.tobytes()
+
+
+# every 13th pair of 2 x 2 blocks with entries in {-1, 0, 1}: 505 of the 6,561
+_INTEGER_PAIRS = list(itertools.product((-1, 0, 1), repeat=8))[::13]
+
+
+@pytest.mark.parametrize("tid", sorted(REGISTRY))
+def test_integer_domain_answers_as_complex128(tid):
+    # At unit scale, nested int lists answer right.  At 2^22 the cubic clause
+    # products reach 2^67: as int64 they wrapped to 0 mod 2^64, so thm23 answered
+    # pairs that complex128 refuses.  int64 input must give the complex128 outcome.
+    assert len(_INTEGER_PAIRS) == 505
+    pattern = REGISTRY[tid].pattern
+    for entries in _INTEGER_PAIRS:
+        e, f = np.reshape(entries[:4], (2, 2)), np.reshape(entries[4:], (2, 2))
+        out = _outcome(lambda: apply_formula(tid, e.tolist(), f.tolist()))
+        if not isinstance(out, str):
+            assert compare(out, BlockPair(e, f, pattern)).passed, (tid, entries)
+        big = e * 2**22, f * 2**22
+        got = _outcome(lambda: apply_formula(tid, *big))
+        want = _outcome(lambda: apply_formula(tid, *(m.astype(np.complex128) for m in big)))
+        assert type(got) is type(want), (tid, entries)
+        if isinstance(want, str):
+            assert got == want, (tid, entries)
+        elif isinstance(want, NoGroupInverse):
+            assert got.failed == want.failed, (tid, entries)
+        else:
+            assert got.assemble().tobytes() == want.assemble().tobytes(), (tid, entries)
+
+
+@pytest.mark.parametrize("pattern", ["EI_F0", None, 3])
+def test_blockpair_refuses_a_pattern_that_is_not_a_member(pattern):
+    # assemble read every value but EI_F0 and EF_I0 members as EF_F0
+    with pytest.raises(ValueError, match="Pattern member"):
+        BlockPair(identity(2), zeros(2, 2), pattern=pattern)
+
+
 def test_one_route_per_call():
     # a formula returns its one route; no second opinion rides along in
     # diagnostics (only cor43/cor44 record which hypothesis family held)
@@ -1281,6 +1349,21 @@ def test_formulas_sum_every_series_through_power_sum():
     helper = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_power_sum"]
     assert len(helper) == 1 and not powers, powers
     assert not range_loops(tree) - range_loops(helper[0])
+
+
+def test_geninv_and_formulas_convert_no_matrix_themselves():
+    # one input boundary: np.asarray and np.array calls live in core, not here
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "antitri"
+    found = [
+        f"{name}:{node.lineno}"
+        for name in ("geninv.py", "formulas.py")
+        for node in ast.walk(ast.parse((src / name).read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("asarray", "array")
+        and getattr(node.func.value, "id", None) == "np"
+    ]
+    assert not found, found
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
