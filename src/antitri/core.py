@@ -12,7 +12,9 @@ int input never wraps, and a complex128 array passes as itself.
 Rank decisions use Gaussian elimination with complete pivoting (GECP)
 and a threshold relative to the largest pivot (default ``1e-10``).
 :func:`solve` and :func:`invert` pass the caller's own matrix to LAPACK
-LU once it has certified full rank.  No eigen/SVD anywhere.
+LU once it has certified full rank.  :func:`certified_inverse` runs the
+other way round: LAPACK ``inv`` first, kept only when its norm proves
+that the elimination would certify full rank.  No eigen/SVD anywhere.
 
 :func:`frobenius_norm` has two paths.  In the normal range it is one
 BLAS dot, s = vdot(a, a), and returns sqrt(s) when 2^-900 <= s < inf:
@@ -162,6 +164,11 @@ class RankFactorization:
     right: np.ndarray = field(repr=False, compare=False)
 
 
+def _cut(top: float, tol: float, floor: float) -> float:
+    """The pivot modulus a rank decision must exceed, for a matrix whose max|a| is ``top``."""
+    return max(tol * top, floor)
+
+
 def _eliminate(a: np.ndarray, tol: float, floor: float = 0.0):
     """Swap-free GECP (see the module docstring): (left, right, rank) with a ~ left @ right.
 
@@ -186,7 +193,7 @@ def _eliminate(a: np.ndarray, tol: float, floor: float = 0.0):
         if k == 0:  # the first pivot is max|a|: NaN or Inf there would count as rank
             if not math.isfinite(piv):
                 raise ValueError("matrix entries must be finite (no NaN/Inf)")
-            cut = max(tol * piv, floor)
+            cut = _cut(piv, tol, floor)
         if piv <= cut or piv == 0.0:
             break
         i, j = divmod(flat, m)
@@ -203,6 +210,30 @@ def _eliminate(a: np.ndarray, tol: float, floor: float = 0.0):
     if r < steps:  # a contiguous left: right @ left rounds differently on a strided slice
         left = left[:, :r].copy()
     return left, right[:r], r
+
+
+INVERSE_MARGIN = 1e4  # covers the rounding of both the LAPACK inverse and the elimination
+
+
+def certified_inverse(a: np.ndarray, tol: float, floor: float = 0.0) -> np.ndarray | None:
+    """LAPACK ``inv(a)`` when it alone proves that :func:`_eliminate` finds a of full rank, else None.
+
+    Each GECP pivot of an invertible r x r matrix a is the largest
+    modulus of a Schur complement, whose inverse is a block of a^-1, so
+    it is at least 1 / (r |a^-1|_F) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 9).  So when r * cut * |x|_F *
+    INVERSE_MARGIN < 1, with cut the elimination's own, every pivot
+    clears the cut and the elimination would return rank r.  None when
+    LAPACK finds a singular, and when the bound is within the margin:
+    then the elimination must decide.  An x with NaN or Inf entries
+    fails the test.
+    """
+    try:
+        x = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return None
+    cut = _cut(float(np.abs(a).max()), tol, floor)
+    return x if a.shape[0] * cut * frobenius_norm(x) * INVERSE_MARGIN < 1 else None
 
 
 def rank_factorize(

@@ -188,8 +188,8 @@ class _DrazinData:
     scalar of the EF = lam FE alternative, or None.  ``T`` is a plain
     holder of the transposed pair whose ``E`` and ``F`` are seeded with
     this one's results, transposed at the same index, so it calls no
-    ``drazin`` of its own.  ``verdicts`` keeps each clause :func:`_judge`
-    decided on the pair.
+    ``drazin`` of its own and checks neither the pair nor tol again.
+    ``verdicts`` keeps each clause :func:`_judge` decided on the pair.
     """
 
     def __init__(self, e: np.ndarray, f: np.ndarray, tol: float, lam: complex | None = None):
@@ -213,13 +213,16 @@ class _DrazinData:
 
     @cached_property
     def T(self) -> _DrazinData:
-        t = _DrazinData(self.e.T.copy(), self.f.T.copy(), self.tol)
-        t.__dict__.update(E=_transposed(self.E), F=_transposed(self.F))  # cached_property reads these
+        t = object.__new__(_DrazinData)  # no __init__: this pair and tol are validated already
+        vars(t).update(
+            e=self.e.T.copy(), f=self.f.T.copy(), tol=self.tol, lam=None, verdicts={},
+            E=_transposed(self.E), F=_transposed(self.F),  # cached_property reads E and F here
+        )
         return t
 
 
 def _transposed(r: DrazinResult) -> DrazinResult:
-    return replace(r, drazin=r.drazin.T, idempotent=r.idempotent.T)
+    return DrazinResult(r.drazin.T, r.index, r.idempotent.T)
 
 
 # Left-hand side of each hypothesis and existence clause.  FFpi and EEpi

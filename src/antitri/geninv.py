@@ -18,10 +18,29 @@ rank invariant powers of a matrix", SIAM J. Numer. Anal. 5, 1968), so
 the same recursion yields the index: it stops at the first level j
 whose rank equals that of the level above (rank(A^0) = n), where A_j
 is invertible and ind(A) = j, or at a level of rank 0, where A is
-nilpotent, A^D = 0 and ind(A) = j + 1.  A call at index k makes at
-most k + 1 pivoted eliminations, one per level, all through
-:func:`antitri.core.rank_factorize`, whose elimination yields B_j and
-C_j directly; one LAPACK ``inv`` takes the level matrix it certifies.
+nilpotent, A^D = 0 and ind(A) = j + 1.  Each level runs one pivoted
+elimination through :func:`antitri.core.rank_factorize`, which yields
+B_j and C_j directly, and LAPACK ``inv`` takes the level matrix that
+the elimination certifies of full rank.
+
+Below the top level, :func:`antitri.core.certified_inverse` is asked
+first.  It takes LAPACK ``inv`` of the r x r level matrix A_j and keeps
+it when r * cut * |A_j^-1|_F * INVERSE_MARGIN < 1, with cut the
+elimination's own.  Each complete-pivoting pivot of an invertible
+matrix is at least 1 / (r |A_j^-1|_F) (Higham, Accuracy and Stability
+of Numerical Algorithms, 2nd ed., ch. 9), so the elimination would
+have found full rank and led to the same ``inv`` of the same matrix:
+the index, A^D and A^pi are unchanged bit for bit, and the margin of
+1e4 covers the rounding of both computations.  Otherwise the
+elimination decides.  The top level is not tried: A there is the
+caller's matrix, singular whenever ind(A) >= 1, and on the formulas'
+blocks the wasted ``inv`` cost more than the saved elimination: trying
+it too made ``drazin`` of the sweep's F blocks 1.09x the time without
+the certificate, against 0.92x below the top only.  So a call at index
+k makes at most k + 1 eliminations, k when the core is certified or A
+is nilpotent, and at most k + 1 LAPACK ``inv`` calls: one attempt at
+each level below the top, and one more when an elimination certifies
+the core.
 
 :func:`drazin` runs the recursion on A * 2^-e, with e the binary
 exponent of max|A|, and scales the result back by 2^-e, since
@@ -46,6 +65,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    certified_inverse,
     frobenius_norm,
     identity,
     matrix_power,
@@ -106,11 +126,19 @@ def index_of(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:
 
 
 def _drazin_core(a: np.ndarray, tol: float, floor: float) -> tuple[np.ndarray, int]:
-    """(A^D, ind(A)) from one pass of the full-rank-factorization recursion."""
+    """(A^D, ind(A)) from one pass of the full-rank-factorization recursion.
+
+    At every level below the top, a LAPACK inverse that certifies itself
+    (see the module docstring) ends the recursion before the level's
+    elimination; it is the ``inv`` the elimination would have led to.
+    """
     n = a.shape[0]
     levels = []
     prev_rank = n  # rank(A^j) at level j; rank(A^0) = n
     while True:
+        x = certified_inverse(a, tol, floor) if levels else None
+        if x is not None:  # A_j is invertible and ind(A) = j
+            break
         f = rank_factorize(a, tol, floor)  # f.rank = rank(A_j) = rank(A^(j+1))
         if f.rank == prev_rank:  # A_j is invertible and ind(A) = j
             x = np.linalg.inv(a)  # full rank certified by f

@@ -39,18 +39,18 @@ def _instances(theorem_id: str, violate: str | None, seed: int, nmax: int):
 
     Seeds whose recipe is infeasible are skipped; nmax of them in a row
     cover every dimension once, so the recipe can never be met and
-    InfeasibleRecipeError is raised.
+    InfeasibleRecipeError is raised, quoting the generator's last reason.
     """
     misses = 0
     for inst_seed in itertools.count(seed):
         n = 1 + (inst_seed % nmax)
         try:
             pair = generate(GeneratorRecipe(theorem_id, n, inst_seed, violate=violate))
-        except InfeasibleRecipeError:
+        except InfeasibleRecipeError as err:
             misses += 1
             if misses == nmax:
                 raise InfeasibleRecipeError(
-                    f"{theorem_id} violate={violate}: no instance at any n in 1..{nmax}"
+                    f"{theorem_id} violate={violate}: no instance at any n in 1..{nmax} (last: {err})"
                 ) from None
             continue
         misses = 0
@@ -79,7 +79,8 @@ def run_sweep(
     recorded ``oracle_index``.  An unknown id raises KeyError; count < 0,
     nmax < 1, seed < 0 or a compare_tol outside [0, inf) raises
     ValueError (for thm41 too, whose first instance is not generated);
-    and a recipe that no dimension can meet raises InfeasibleRecipeError.
+    a ``violate`` outside the formula's clauses, and a recipe that no
+    dimension can meet, raise InfeasibleRecipeError.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -88,6 +89,11 @@ def run_sweep(
     if nmax < 1:
         raise ValueError(f"nmax must be >= 1, got {nmax}")
     check_compare_tol(compare_tol, "compare_tol")
+    clauses = REGISTRY[theorem_id].clauses
+    if violate not in (None, *clauses):
+        raise InfeasibleRecipeError(
+            f"{theorem_id}: unknown clause {violate!r}; its clauses are {', '.join(clauses)}"
+        )
     instances = _instances(theorem_id, violate, seed, nmax)
     if theorem_id == "thm41" and violate is None:
         golden = [(seed, 2, example_45())]

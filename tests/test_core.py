@@ -337,6 +337,24 @@ def test_factorization_inverse_is_invert_bit_for_bit(rng):
     assert checked >= 40
 
 
+def test_inverse_certificate_refuses_a_pivot_within_its_margin_of_the_cut():
+    # the smallest pivot of diag(1, 1e-9), of full rank at tol 1e-10, and of
+    # diag(1, 1e-11), of rank 1, lies within INVERSE_MARGIN of the cut: the
+    # elimination must decide.  Beyond the margin LAPACK's inverse is returned
+    from antitri.core import certified_inverse
+
+    for a, r in ((diag(1, 1e-9), 2), (diag(1, 1e-11), 1)):
+        assert rank_factorize(a, 1e-10).rank == r
+        assert certified_inverse(a, 1e-10) is None
+    a = diag(1, 1e-5)
+    assert np.array_equal(certified_inverse(a, 1e-10), np.linalg.inv(a))
+    assert certified_inverse(a, 1e-10, floor=1e-9) is None  # the floor raises the cut
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert certified_inverse(jordan_nilpotent(3), 1e-10) is None  # LAPACK: singular
+        assert certified_inverse(zeros(2, 2), 1e-10, floor=1e-10) is None
+
+
 def _lapack_inputs(rng):
     """Random, tie-heavy integer and 1e-6/1e6-rescaled square inputs, n = 1..32."""
     for n in range(1, 33):

@@ -1078,6 +1078,57 @@ def test_transposed_drazin_data_residuals_are_of_the_transpose():
             assert verify_drazin_axioms(a, r.drazin, r.index).overall
 
 
+def _reference_transposed_holder(d):
+    """``d.T`` built the earlier way: through ``__init__``'s checks, its results by ``replace``."""
+    import dataclasses
+
+    t = _DrazinData(d.e.T.copy(), d.f.T.copy(), d.tol)
+    for name, r in (("E", d.E), ("F", d.F)):
+        t.__dict__[name] = dataclasses.replace(r, drazin=r.drazin.T, idempotent=r.idempotent.T)
+    return t
+
+
+def test_transposed_holder_checks_nothing_again_and_answers_as_before(monkeypatch):
+    # d.T re-ran the pair and tol checks that d had passed: 8 us of a 120 us
+    # thm33_group call; every dual row must still answer as before, bit for bit
+    from functools import cached_property
+
+    import antitri.formulas as formulas
+
+    pair = generate(GeneratorRecipe("thm33", 3, 1))
+    d = _DrazinData(pair.E, pair.F, DEFAULT_TOL)
+    want = _reference_transposed_holder(d)
+
+    def checked(*args):
+        raise AssertionError("the transposed pair was checked again")
+
+    with monkeypatch.context() as m:
+        for name in ("square_matrix", "require_finite", "require_tol"):
+            m.setattr(formulas, name, checked)
+        t = d.T
+    assert (t.tol, t.lam, t.verdicts) == (want.tol, want.lam, want.verdicts)
+    for got, ref in ((t.e, want.e), (t.f, want.f)):
+        assert np.array_equal(got, ref) and got.flags.c_contiguous
+    for got, ref in ((t.E, want.E), (t.F, want.F)):
+        assert got.index == ref.index
+        assert np.array_equal(got.drazin, ref.drazin) and np.array_equal(got.idempotent, ref.idempotent)
+    reference = cached_property(_reference_transposed_holder)
+    reference.__set_name__(_DrazinData, "T")
+    for tid in ("thm33", "cor34", "cor35", "cor42", "cor43"):
+        for seed in (0, 1000):  # the master sweep's seeds
+            for k, pair in enumerate(pairs_for(tid, 40, seed=seed)):
+                case = (tid, seed, k)
+                got = _outcome(lambda: apply_formula(tid, pair.E, pair.F))
+                with monkeypatch.context() as m:
+                    m.setattr(_DrazinData, "T", reference)
+                    want = _outcome(lambda: apply_formula(tid, pair.E, pair.F))
+                if isinstance(want, (str, NoGroupInverse)):
+                    assert got == want, case
+                    continue
+                assert type(got) is type(want) and np.array_equal(got.assemble(), want.assemble()), case
+                assert got.diagnostics == want.diagnostics, case
+
+
 # Derived rows that call their base row's body without re-entering _run, and
 # whether their clauses are the base row's transpose duals.
 DIRECT_BASE = {

@@ -1,11 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import antitri.geninv as geninv
 from antitri import (
+    THEOREM_IDS,
     DrazinResult,
     GeneratorRecipe,
+    InfeasibleRecipeError,
     NoGroupInverseError,
     assemble,
     diag,
@@ -25,12 +29,14 @@ from antitri import (
     verify_drazin_axioms,
     zeros,
 )
+from antitri.formulas import REGISTRY
 from conftest import (
     assert_close,
     jordan_nilpotent,
     mixed_similarity,
     random_complex,
     rel_err,
+    unimodular_pair,
     well_conditioned,
 )
 
@@ -198,11 +204,12 @@ def test_recursion_index_of_non_normal_instance():
 
 
 def test_drazin_work_per_call(rng, monkeypatch):
-    # one elimination per recursion level and one LAPACK inv for the invertible
-    # level (none for nilpotent A); no power ranks, and the axiom residuals only
-    # once they are read
+    # one elimination per recursion level, except at a core that the inverse
+    # certificate accepts; at most one LAPACK inv per level: a certificate
+    # attempt at each level below the top, or the inv of the core the
+    # elimination certified; no power ranks, and the axiom residuals only once
+    # they are read
     import antitri.core as core
-    import antitri.geninv as geninv
 
     calls = dict.fromkeys(("_eliminate", "inv", "index_of", "verify_drazin_axioms"), 0)
     homes = {"_eliminate": core, "inv": np.linalg}
@@ -215,15 +222,36 @@ def test_drazin_work_per_call(rng, monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
+    certified = []
+    real_certificate = geninv.certified_inverse
+
+    def spied(*args):
+        x = real_certificate(*args)
+        certified.append(x is not None)
+        return x
+
+    monkeypatch.setattr(geninv, "certified_inverse", spied)
+
+    def work(a):
+        for name in calls:
+            calls[name] = 0
+        certified.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from a singular level
+            return drazin(a)  # and no LinAlgError
+
     cases = [identity(3), zeros(3, 3), jordan_nilpotent(4), F45]
     cases += [_instance_mix(rng, int(rng.integers(1, 9))) for _ in range(40)]
     for a in cases:
-        for name in calls:
-            calls[name] = 0
-        r = drazin(a)
-        assert calls["_eliminate"] <= r.index + 1, calls
-        assert calls["inv"] == int(r.drazin.any()), calls
+        r = work(a)
+        assert not any(certified[:-1])  # an attempt that certifies ends the recursion
+        core_eliminated = bool(r.drazin.any()) and not any(certified)
+        assert calls["_eliminate"] == r.index + core_eliminated <= r.index + 1, calls
+        assert calls["inv"] == len(certified) + core_eliminated <= r.index + 1, calls
         assert calls["index_of"] == 0 and calls["verify_drazin_axioms"] == 0, calls
+    assert work(F45).index == 1 and calls["_eliminate"] == 1 and certified == [True]
+    assert work(jordan_nilpotent(4)).index == 4 and calls["inv"] == 3  # attempts, which raise
+    assert certified == [False] * 3
 
 
 def test_double_inverse_property(rng):
@@ -317,6 +345,104 @@ def test_power_of_two_normalization_is_exact(rng):
             x, k = _drazin_core(a, 1e-10, 1e-10 * float(np.abs(a).max()))
             assert r.index == k and np.array_equal(r.drazin, x)
             assert np.array_equal(r.idempotent, identity(a.shape[0]) - a @ x)
+
+
+def _reference_drazin_core(a, tol, floor):
+    """The recursion without the inverse certificate, kept verbatim as the reference."""
+    n = a.shape[0]
+    levels = []
+    prev_rank = n  # rank(A^j) at level j; rank(A^0) = n
+    while True:
+        f = rank_factorize(a, tol, floor)  # f.rank = rank(A_j) = rank(A^(j+1))
+        if f.rank == prev_rank:  # A_j is invertible and ind(A) = j
+            x = np.linalg.inv(a)  # full rank certified by f
+            break
+        if f.rank == 0:  # A^(j+1) = 0
+            return zeros(n, n), len(levels) + 1
+        levels.append(f)
+        prev_rank = f.rank
+        a = f.right @ f.left
+    index = len(levels)
+    for f in reversed(levels):
+        x = f.left @ (x @ x) @ f.right
+    return x, index
+
+
+def _outcome(a):
+    """(index, A^D, A^pi) of drazin(a), overflow let through as inf or NaN, or the error it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            r = drazin(a)
+    except (ArithmeticError, ValueError) as err:
+        return type(err)
+    return r.index, r.drazin, r.idempotent
+
+
+def _assert_reference_recursion(monkeypatch, inputs):
+    """drazin's index, A^D and A^pi are the reference recursion's, bit for bit, on every input."""
+    for a in inputs:
+        got = _outcome(a)
+        with monkeypatch.context() as m:
+            m.setattr(geninv, "_drazin_core", _reference_drazin_core)
+            want = _outcome(a)
+        if isinstance(want, type) or isinstance(got, type):
+            assert got is want
+            continue
+        assert got[0] == want[0]
+        assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got[1:], want[1:]))
+
+
+def _with_nilpotent_part(rng, c, index):
+    """S diag(C, N) S^-1, N of Jordan blocks sized index, 1, 1, ...: the core is C, ind = index."""
+    r = c.shape[0]
+    n = r + max(r // 3, index)
+    block = zeros(n, n)
+    block[:r, :r] = c
+    block[r:r + index, r:r + index] = jordan_nilpotent(index)
+    s, s_inv = unimodular_pair(rng, n)
+    return matrix(s @ block @ s_inv)
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(random_complex(rng, n))
+    return q
+
+
+def _kahan(n, s):
+    """Kahan's triangular matrix diag(1, s, ..., s^(n-1)) (I - c * strict upper ones), c^2 + s^2 = 1."""
+    c = math.sqrt(1.0 - s * s)
+    return matrix(np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1)))
+
+
+def test_certified_core_keeps_the_reference_recursion_bit_for_bit(rng, monkeypatch):
+    # the certificate stops the recursion with the same LAPACK inv the
+    # elimination would have led to, so nothing moves; where it refuses, the
+    # elimination decides as before
+    inputs = [_instance_mix(rng, int(rng.integers(1, 9))) for _ in range(120)]
+    for r in (6, 12, 18, 24):  # S diag(C, N) S^-1, n = 8..32, with a well-conditioned diagonal C
+        for index in (1, 2, 3):
+            d = rng.uniform(0.5, 2.0, r) * np.exp(1j * rng.uniform(0, 2 * np.pi, r))
+            inputs.append(_with_nilpotent_part(rng, matrix(np.diag(d)), index))
+    for _ in range(300):  # one singular value of C at 10^u |C|, across the cut
+        r = int(rng.integers(1, 7))
+        sv = np.ones(r)
+        sv[-1] = 10 ** rng.uniform(-12.5, -7.5)
+        c = _unitary(rng, r) @ np.diag(sv) @ _unitary(rng, r)
+        inputs.append(_with_nilpotent_part(rng, matrix(c), int(rng.integers(1, 3))))
+    for _ in range(60):  # Kahan cores: GECP's pivots hide the smallest singular value
+        r = int(rng.integers(2, 25))
+        s = 10 ** (rng.uniform(-12.5, -7.5) / (r - 1))
+        inputs.append(_with_nilpotent_part(rng, _kahan(r, s), int(rng.integers(1, 3))))
+    for tid in THEOREM_IDS:  # E, F and M of generated pairs, valid and violating
+        for clause in (None, *REGISTRY[tid].clauses):
+            for seed in range(4):
+                try:
+                    pair = generate(GeneratorRecipe(tid, 1 + seed, seed, violate=clause))
+                except InfeasibleRecipeError:
+                    continue
+                for scale in (1.0, 1e-6, 1e6):
+                    inputs += [scale * pair.E, scale * pair.F, scale * assemble(pair)]
+    _assert_reference_recursion(monkeypatch, inputs)
 
 
 def test_group_existence_rank_criterion():

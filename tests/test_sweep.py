@@ -35,6 +35,21 @@ def test_clause_infeasible_at_every_dimension_is_rejected(deadline):
         run_sweep("thm31", count=1, violate="FFpi")
 
 
+def test_clause_outside_the_formula_is_refused_up_front(deadline, monkeypatch):
+    # it used to read "no instance at any n in 1..4", after nmax generator calls
+    def generate(recipe):
+        raise AssertionError("generated a pair for an unknown clause")
+
+    monkeypatch.setattr(antitri.sweep, "generate", generate)
+    with pytest.raises(InfeasibleRecipeError, match="thm31: unknown clause 'bogus'; its clauses are FEFpi, "):
+        run_sweep("thm31", count=2, violate="bogus")
+
+
+def test_infeasible_recipe_quotes_the_generators_reason(deadline):
+    with pytest.raises(InfeasibleRecipeError, match=r"1\.\.4 \(last: .* structurally impossible\)"):
+        run_sweep("thm31", count=2, violate="FFpi")
+
+
 def test_violated_hypothesis_is_a_passed_refusal(deadline):
     # a broken hypothesis clause is refused with HypothesisError, which the
     # sweep records instead of stopping at the first instance
