@@ -51,7 +51,6 @@ _PUBLIC = {  # module -> its public names
     "formulas": (
         "BlockPair",
         "BlockResult",
-        "GroupFormulaBlocks",
         "HypothesisError",
         "InverseKind",
         "NoGroupInverse",

@@ -33,7 +33,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import fields
 
 import numpy as np
 
@@ -119,17 +118,19 @@ def _emit(rep: dict) -> None:
 
 
 def _result_json(result) -> dict:
-    from .formulas import BlockResult, NoGroupInverse
+    from .formulas import InverseKind, NoGroupInverse
 
     if isinstance(result, NoGroupInverse):
         return {"no_group_inverse": {"failed": list(result.failed), "residuals": result.residuals}}
-    extra = "truncation" if isinstance(result, BlockResult) else "diagnostics"
+    # the report keeps the paper's names: Gamma..Xi and diagnostics for a group answer
+    group = result.kind is InverseKind.GROUP
+    names = ("Gamma", "Delta", "Lambda", "Xi") if group else ("tl", "tr", "bl", "br")
+    blocks = (result.tl, result.tr, result.bl, result.br)
     return {
         "kind": result.kind.value,
         "pattern": result.pattern.value,
-        # either answer class keeps its four blocks in its first four fields
-        "blocks": {b.name: matrix_to_json(getattr(result, b.name)) for b in fields(result)[:4]},
-        extra: getattr(result, extra),
+        "blocks": {name: matrix_to_json(b) for name, b in zip(names, blocks)},
+        "diagnostics" if group else "truncation": result.notes,
     }
 
 

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import Callable
 
@@ -128,10 +128,15 @@ class BlockPair:
 
 @dataclass(frozen=True)
 class BlockResult:
-    """Four blocks of a computed block inverse, with the cut-offs used.
+    """The four blocks [[tl, tr], [bl, br]] of a computed block inverse.
 
-    ``pattern`` is None for results whose source matrix is not one of
-    the three anti-triangular patterns (the plain triangular split).
+    One class for every kind: a group answer reads its blocks as Gamma,
+    Delta, Lambda, Xi too.  ``notes`` records how the answer was reached:
+    the series caps of the Drazin family (``k``/``m``, ``f_terms``/``ind_e``,
+    ``a_terms``/``b_terms``) or the ``hypothesis_family`` that cor43 and
+    cor44 accepted.  ``pattern`` is None for results whose source matrix
+    is not one of the three anti-triangular patterns (the plain
+    triangular split).
     """
 
     tl: np.ndarray
@@ -140,27 +145,19 @@ class BlockResult:
     br: np.ndarray
     kind: InverseKind
     pattern: Pattern | None
-    truncation: dict = field(default_factory=dict)
+    notes: dict = field(default_factory=dict)
+
+    Gamma = property(lambda self: self.tl)
+    Delta = property(lambda self: self.tr)
+    Lambda = property(lambda self: self.bl)
+    Xi = property(lambda self: self.br)
 
     def assemble(self) -> np.ndarray:
         return block2x2(self.tl, self.tr, self.bl, self.br)
 
 
-@dataclass(frozen=True)
-class GroupFormulaBlocks:
-    """Named blocks Gamma, Delta, Lambda, Xi of a group-inverse representation."""
-
-    Gamma: np.ndarray
-    Delta: np.ndarray
-    Lambda: np.ndarray
-    Xi: np.ndarray
-    pattern: Pattern
-    diagnostics: dict = field(default_factory=dict)
-
-    kind = InverseKind.GROUP
-
-    def assemble(self) -> np.ndarray:
-        return block2x2(self.Gamma, self.Delta, self.Lambda, self.Xi)
+# The benchmark reads the group answer class under its old name.
+GroupFormulaBlocks = BlockResult
 
 
 @dataclass(frozen=True)
@@ -324,7 +321,7 @@ def _gate(
     return NoGroupInverse(failed=tuple(failed), residuals=residuals) if failed else None
 
 
-def _run(d: _DrazinData, theorem_id: str) -> BlockResult | GroupFormulaBlocks | NoGroupInverse:
+def _run(d: _DrazinData, theorem_id: str) -> BlockResult | NoGroupInverse:
     """The one dispatcher: gate the row of ``theorem_id`` on ``d``, then compute its body."""
     row = REGISTRY[theorem_id]
     return _gate(d, theorem_id, row.hypotheses, row.existence_clauses) or row.body(d)
@@ -363,8 +360,8 @@ def lemma21_triangular(
         + rb.idempotent @ _power_sum(b, c, ad, rb.index) @ ad @ ad
         - bd @ c @ ad
     )
-    truncation = {"a_terms": ra.index, "b_terms": rb.index}
-    return BlockResult(ad, zeros(a.shape[0], b.shape[1]), z, bd, InverseKind.G_DRAZIN, None, truncation)
+    notes = {"a_terms": ra.index, "b_terms": rb.index}
+    return BlockResult(ad, zeros(a.shape[0], b.shape[1]), z, bd, InverseKind.G_DRAZIN, None, notes)
 
 
 def lemma22_additive(p: np.ndarray, q: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -432,8 +429,8 @@ def _thm23(d: _DrazinData) -> BlockResult:
     lam = e @ epifd + w + e @ t2 + delt
     sig = edw - e @ edfd + t2 + f @ (ed2 @ (edw - fd) + u)
     gam = f @ (epifd + edw + t2)
-    truncation = {"f_terms": ind_f, "ind_e": ind_e}
-    return BlockResult(lam, sig, gam, delt, InverseKind.G_DRAZIN, Pattern.EI_F0, truncation)
+    notes = {"f_terms": ind_f, "ind_e": ind_e}
+    return BlockResult(lam, sig, gam, delt, InverseKind.G_DRAZIN, Pattern.EI_F0, notes)
 
 
 def _anti_triangular(d: _DrazinData) -> BlockResult:
@@ -492,8 +489,8 @@ def _anti_triangular(d: _DrazinData) -> BlockResult:
     pd = block2x2(z, fd, ffd, -ffd @ e @ fd)
     h = _power_sum(q, identity(2 * n) - q @ qd, pd, k_cap + 1)
     md = qd @ block2x2(fpi, z, z, fpi) + h @ pd
-    truncation = {"k": k_cap, "m": m_cap}
-    return BlockResult(*split2x2(md, n, n), InverseKind.G_DRAZIN, Pattern.EI_F0, truncation)
+    notes = {"k": k_cap, "m": m_cap}
+    return BlockResult(*split2x2(md, n, n), InverseKind.G_DRAZIN, Pattern.EI_F0, notes)
 
 
 def thm25(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult:
@@ -505,7 +502,7 @@ def thm27(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult
     """Drazin inverse of [[E, I], [F, 0]] with explicit series caps.
 
     Identical algebra to :func:`thm25`; the caps k = ind(E F^pi) + 2 ind(F)
-    and m = ind(F) are reported in ``truncation``.
+    and m = ind(F) are reported in ``notes``.
     """
     return _run(_DrazinData(e, f, tol), "thm27")
 
@@ -538,12 +535,11 @@ def _to_ef_i0(e, gamma, delta, lam, xi):
 _MAPPED_PATTERN = {Pattern.EI_F0: Pattern.EF_I0, Pattern.EF_I0: Pattern.EI_F0}
 
 
-def _mapped(out, blocks_map):
-    """The answer ``out`` with its four blocks, its first four fields, mapped by ``blocks_map``."""
-    names = [block.name for block in fields(out)[:4]]
-    blocks = blocks_map(*(getattr(out, name) for name in names))
+def _mapped(out: BlockResult, blocks_map) -> BlockResult:
+    """The answer ``out`` with its four blocks mapped by ``blocks_map``."""
+    tl, tr, bl, br = blocks_map(out.tl, out.tr, out.bl, out.br)
     pattern = _MAPPED_PATTERN.get(out.pattern, out.pattern)
-    return replace(out, pattern=pattern, **dict(zip(names, blocks)))
+    return replace(out, tl=tl, tr=tr, bl=bl, br=br, pattern=pattern)
 
 
 def _similar(base_id: str):
@@ -561,9 +557,7 @@ def _dual(base_id: str):
 # group-inverse family
 
 
-def thm31_group(
-    e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL
-) -> GroupFormulaBlocks | NoGroupInverse:
+def thm31_group(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult | NoGroupInverse:
     """Group inverse of [[E, I], [F, 0]] under F E F^pi = 0.
 
     Exists iff F has a group inverse and E^pi F^pi = 0; the blocks are
@@ -572,7 +566,7 @@ def thm31_group(
     return _run(_DrazinData(e, f, tol), "thm31")
 
 
-def _thm31(d: _DrazinData) -> GroupFormulaBlocks:
+def _thm31(d: _DrazinData) -> BlockResult:
     e, f = d.e, d.f
     fs, fpi = d.F.drazin, d.F.idempotent  # index <= 1: Drazin inverse is the group inverse
     edfpi = d.E.drazin @ fpi
@@ -580,12 +574,10 @@ def _thm31(d: _DrazinData) -> GroupFormulaBlocks:
     delta = fs + edfpi @ edfpi - edfpi @ e @ fs
     lam = f @ fs
     xi = -f @ fs @ e @ fs
-    return GroupFormulaBlocks(Gamma=gamma, Delta=delta, Lambda=lam, Xi=xi, pattern=Pattern.EI_F0)
+    return BlockResult(gamma, delta, lam, xi, InverseKind.GROUP, Pattern.EI_F0)
 
 
-def cor32_group(
-    e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL
-) -> GroupFormulaBlocks | NoGroupInverse:
+def cor32_group(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult | NoGroupInverse:
     """Group inverse of [[E, F], [I, 0]] under F E F^pi = 0.
 
     Same existence clause as :func:`thm31_group`; the :func:`thm31_group`
@@ -595,9 +587,7 @@ def cor32_group(
     return _run(_DrazinData(e, f, tol), "cor32")
 
 
-def thm33_group(
-    e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL
-) -> GroupFormulaBlocks | NoGroupInverse:
+def thm33_group(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult | NoGroupInverse:
     """Group inverse of [[E, F], [I, 0]] under F^pi E F = 0.
 
     Exists iff F has a group inverse and F^pi E^pi = 0: the transpose of
@@ -606,9 +596,7 @@ def thm33_group(
     return _run(_DrazinData(e, f, tol), "thm33")
 
 
-def cor34_group(
-    e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL
-) -> GroupFormulaBlocks | NoGroupInverse:
+def cor34_group(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult | NoGroupInverse:
     """Group inverse of [[E, I], [F, 0]] under F^pi E F = 0.
 
     Existence as in :func:`thm33_group`: the transpose of
@@ -620,7 +608,7 @@ def cor34_group(
 
 def cor35_group(
     e: np.ndarray, f: np.ndarray, lam: complex | None = None, tol: float = DEFAULT_TOL
-) -> GroupFormulaBlocks | NoGroupInverse:
+) -> BlockResult | NoGroupInverse:
     """Group inverse of [[E, F], [I, 0]] under EF = lam FE or EF^2 = FEF.
 
     Exists iff F has a group inverse and F^pi E^pi = 0.  Either
@@ -630,9 +618,7 @@ def cor35_group(
     return _run(_DrazinData(e, f, tol, lam), "cor35")
 
 
-def thm41_group(
-    e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL
-) -> GroupFormulaBlocks | NoGroupInverse:
+def thm41_group(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult | NoGroupInverse:
     """Group inverse of the identical-subblock matrix [[E, F], [F, 0]].
 
     Standing requirements: F group invertible and F E F^pi = 0 (both
@@ -651,7 +637,7 @@ def thm41_group(
     return _run(_DrazinData(e, f, tol), "thm41")
 
 
-def _thm41(d: _DrazinData) -> GroupFormulaBlocks:
+def _thm41(d: _DrazinData) -> BlockResult:
     f = d.f
     fs, fpi = d.F.drazin, d.F.idempotent
     efs = d.e @ fs
@@ -666,12 +652,10 @@ def _thm41(d: _DrazinData) -> GroupFormulaBlocks:
     v = core @ efs2
     lam = f @ (core @ core - v) + fs
     xi = f @ (core @ delta_inner) - (fs - f @ v) @ efs
-    return GroupFormulaBlocks(Gamma=gamma, Delta=delta, Lambda=lam, Xi=xi, pattern=Pattern.EF_F0)
+    return BlockResult(gamma, delta, lam, xi, InverseKind.GROUP, Pattern.EF_F0)
 
 
-def cor42_group(
-    e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL
-) -> GroupFormulaBlocks | NoGroupInverse:
+def cor42_group(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult | NoGroupInverse:
     """Group inverse of [[E, F], [F, 0]] under F^pi E F = 0.
 
     Transpose dual of :func:`thm41_group`: exists iff F^pi E^pi E = 0, and
@@ -682,14 +666,14 @@ def cor42_group(
     return _run(_DrazinData(e, f, tol), "cor42")
 
 
-def cor43_group(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> GroupFormulaBlocks:
+def cor43_group(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult:
     """Group inverse of [[E, F], [F, 0]] when E and F both have group inverses.
 
     With E group invertible, E E^pi = 0, so the existence clause of
     :func:`thm41_group` holds automatically and the same blocks apply
     with E^# in place of E^D.  Either annihilator hypothesis
     (F E F^pi = 0 or F^pi E F = 0) is accepted, and which one held is
-    recorded in diagnostics.  The F^pi E F family takes the transposed
+    recorded in ``notes``.  The F^pi E F family takes the transposed
     machinery of :func:`cor42_group`; both families are certified against
     the oracle (see the sweep tests and the family arbitration test).  If
     the delegated existence clause fails all the same, E E^pi is not 0 to
@@ -698,7 +682,7 @@ def cor43_group(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> Group
     return _run(_DrazinData(e, f, tol), "cor43")
 
 
-def _cor43(d: _DrazinData) -> GroupFormulaBlocks:
+def _cor43(d: _DrazinData) -> BlockResult:
     fefpi, fpief = _judge(d, "FEFpi").passed, _judge(d, "FpiEF").passed
     # only the transposed machinery is sound for the F^pi E F family
     out = _run(d, "thm41" if fefpi else "cor42")
@@ -712,12 +696,12 @@ def _cor43(d: _DrazinData) -> GroupFormulaBlocks:
             "EEpi",
         )
     family = "both" if fefpi and fpief else "FEFpi" if fefpi else "FpiEF"
-    return replace(out, diagnostics={"hypothesis_family": family})
+    return replace(out, notes={"hypothesis_family": family})
 
 
 def cor44_group(
     e: np.ndarray, f: np.ndarray, lam: complex | None = None, tol: float = DEFAULT_TOL
-) -> GroupFormulaBlocks:
+) -> BlockResult:
     """Group inverse of [[E, F], [F, 0]] for group invertible commuting-type pairs.
 
     Requires EF = lam FE (for the supplied lam) or EF^2 = FEF; the
@@ -747,7 +731,7 @@ class _Formula:
     kind: InverseKind
     hypotheses: tuple[str, ...]
     existence_clauses: tuple[str, ...]
-    body: Callable[[_DrazinData], BlockResult | GroupFormulaBlocks]
+    body: Callable[[_DrazinData], BlockResult]
 
     @property
     def clauses(self) -> tuple[str, ...]:
@@ -804,7 +788,7 @@ def apply_formula(
     f: np.ndarray,
     tol: float = DEFAULT_TOL,
     lam: complex | None = None,
-) -> BlockResult | GroupFormulaBlocks | NoGroupInverse:
+) -> BlockResult | NoGroupInverse:
     """Run the named block formula on (E, F).
 
     ``lam`` is accepted only by the ids whose hypotheses include the

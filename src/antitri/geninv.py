@@ -47,7 +47,8 @@ exponent of max|A|, and scales the result back by 2^-e, since
 (cA)^D = A^D / c.  Powers of two scale exactly, so results in the
 normal float range are the unscaled recursion's value for value, and
 the squares x @ x of the recursion neither underflow nor overflow at
-extreme scale.  An A^D beyond the float64 range raises OverflowError.
+extreme scale.  An A^D beyond the float64 range raises OverflowError,
+as does one that overflowed inside the recursion to NaN or Inf.
 
 :func:`index_of` ranks powers of A directly and stays as an
 independent check of the index.
@@ -164,7 +165,8 @@ def drazin(a: np.ndarray, tol: float = DEFAULT_TOL) -> DrazinResult:
     ValueError: they make max|a| non-finite, so one scan of a serves
     both the check and the floor.  The recursion runs on a * 2^-e, where
     max|a * 2^-e| is in [1/2, 1); OverflowError when A^D has an entry
-    beyond the float64 range.
+    beyond the float64 range, whether the recursion's squares overflowed
+    or the scale-back would.
     """
     a = square_matrix(a, "drazin")
     amax = float(np.abs(a).max()) if a.size else 0.0
@@ -173,8 +175,9 @@ def drazin(a: np.ndarray, tol: float = DEFAULT_TOL) -> DrazinResult:
     mantissa, e = math.frexp(amax)
     scaled = _times_pow2(a, -e)  # max|scaled| = mantissa in [1/2, 1), or 0
     x, k = _drazin_core(scaled, tol, tol * mantissa)
-    xmax = float(np.abs(x).max()) if e < 0 and x.size else 0.0  # only scaling up can overflow
-    if xmax and math.frexp(xmax)[1] - e > 1024:
+    xmax = float(np.abs(x).max()) if x.size else 0.0
+    # the recursion's own squares may overflow, and so may the scale-back when e < 0
+    if not math.isfinite(xmax) or (xmax and math.frexp(xmax)[1] - e > 1024):
         raise OverflowError(f"drazin: A^D has entries beyond the float64 range (max|A| = {amax:g})")
     ad = _times_pow2(x, -e)  # (cA)^D = A^D / c
     pi = identity(a.shape[0]) - scaled @ x

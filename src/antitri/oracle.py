@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import COMPARE_TOL, DEFAULT_TOL, block2x2, frobenius_norm, identity, zeros
 from .geninv import DrazinResult, drazin, verify_drazin_axioms
-from .formulas import BlockPair, BlockResult, GroupFormulaBlocks, InverseKind, NoGroupInverse, Pattern
+from .formulas import BlockPair, BlockResult, InverseKind, NoGroupInverse, Pattern
 from .reports import ConditionReport
 
 
@@ -50,7 +50,7 @@ def check_compare_tol(tol: float, name: str = "compare tol") -> None:
 
 
 def compare(
-    formula: BlockResult | GroupFormulaBlocks | NoGroupInverse,
+    formula: BlockResult | NoGroupInverse,
     pair: BlockPair,
     tol: float = COMPARE_TOL,
     compute_tol: float = DEFAULT_TOL,

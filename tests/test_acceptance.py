@@ -151,7 +151,7 @@ def test_criterion_5_truncation_identity():
             alpha = zeros(*alpha.shape)  # exact zero in the algebra
         k_expected = index_of(alpha) + 2 * index_of(pair.F)
         m_expected = index_of(pair.F)
-        caps_ok = caps_ok and r27.truncation == {"k": k_expected, "m": m_expected}
+        caps_ok = caps_ok and r27.notes == {"k": k_expected, "m": m_expected}
         checked += 1
     ok = worst <= 1e-12 and caps_ok
     _verdict(5, ok, f"thm25 == thm27 worst dev {worst:.2e} (<=1e-12), caps k/m correct: {caps_ok}")

@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from antitri import GeneratorRecipe, generate, matrix, zeros
+from antitri import PATTERN_FOR, THEOREM_IDS, GeneratorRecipe, apply_formula, generate, matrix, zeros
+from antitri.core import block2x2
+from antitri.formulas import REGISTRY
 from antitri.cli import (
     EXIT_FAIL,
     EXIT_IO,
@@ -272,6 +274,51 @@ def test_cmd_block_fixture_verified(capsys):
     assert rep["conditions"]["overall"]
     blocks = rep["result"]["blocks"]
     assert blocks["Gamma"]["data"][0][1] == [1.0, 0.0]
+
+
+# The keys of each id's notes in its report: series caps, or the hypothesis family.
+REPORT_NOTES = {
+    "thm23": {"f_terms", "ind_e"},
+    **dict.fromkeys(("thm25", "cor26", "thm27"), {"k", "m"}),
+    **dict.fromkeys(("cor43", "cor44"), {"hypothesis_family"}),
+}
+
+
+def _block_report(tmp_path, capsys, tid, pair):
+    e, f = str(tmp_path / "e.json"), str(tmp_path / "f.json")
+    write_matrix(e, pair.E)
+    write_matrix(f, pair.F)
+    return run_cli(capsys, "block", e, f, "--theorem", tid)
+
+
+@pytest.mark.parametrize("tid", THEOREM_IDS)
+def test_cmd_block_report_shape_for_every_id(tmp_path, capsys, tid):
+    # group answers report Gamma..Xi and diagnostics, the others tl..br and
+    # truncation; the four blocks are apply_formula's, bit for bit
+    pair = generate(GeneratorRecipe(tid, 3, 0))
+    want = apply_formula(tid, pair.E, pair.F)
+    code, rep = _block_report(tmp_path, capsys, tid, pair)
+    assert code == EXIT_OK
+    result = rep["result"]
+    group = want.kind.value == "Group"
+    notes = "diagnostics" if group else "truncation"
+    assert list(result) == ["kind", "pattern", "blocks", notes]
+    assert (result["kind"], result["pattern"]) == (want.kind.value, PATTERN_FOR[tid].value)
+    names = ["Gamma", "Delta", "Lambda", "Xi"] if group else ["tl", "tr", "bl", "br"]
+    assert list(result["blocks"]) == names
+    blocks = [matrix_from_json(result["blocks"][name]) for name in names]
+    assert np.array_equal(block2x2(*blocks), want.assemble())
+    assert set(result[notes]) == REPORT_NOTES.get(tid, set())
+
+    clause = REGISTRY[tid].existence
+    if clause is None:
+        return
+    pair = generate(GeneratorRecipe(tid, 3, 0, violate=clause))
+    want = apply_formula(tid, pair.E, pair.F)
+    code, rep = _block_report(tmp_path, capsys, tid, pair)
+    assert code == EXIT_NO_GROUP
+    assert rep["result"] == {"no_group_inverse": {"failed": list(want.failed), "residuals": want.residuals}}
+    assert clause in want.failed
 
 
 def test_cmd_block_hypothesis_failure(tmp_path, capsys):

@@ -14,6 +14,7 @@ from antitri import (
     GeneratorRecipe,
     HypothesisError,
     InfeasibleRecipeError,
+    InverseKind,
     NoGroupInverse,
     Pattern,
     apply_formula,
@@ -574,7 +575,7 @@ def test_thm27_equals_thm25():
         r25 = thm25(pair.E, pair.F)
         r27 = thm27(pair.E, pair.F)
         assert rel_err(r27.assemble(), r25.assemble()) <= 1e-12
-        assert r27.truncation == r25.truncation
+        assert r27.notes == r25.notes
         assert r27.kind.value == "Drazin" and r25.kind.value == "gDrazin"
 
 
@@ -592,7 +593,7 @@ def test_theorem25_engine_matches_2n_route():
                 left = block2x2(pair.E, identity(n), identity(n), zeros(n, n))
                 right = block2x2(identity(n), zeros(n, n), zeros(n, n), pair.F)
                 want = left @ want @ want @ right
-            assert res.truncation == truncation, (tid, seed)
+            assert res.notes == truncation, (tid, seed)
             assert rel_err(res.assemble(), want) <= 1e-9, (tid, seed)
 
 
@@ -609,7 +610,7 @@ def test_thm27_reported_caps():
     e = matrix([[1, 1], [0, 0]])  # idempotent: ind(E F^pi) = ind(E) = 1
     f = jordan_nilpotent(2)  # ind(F) = 2, F^pi = I
     res = thm27(e, f)
-    assert res.truncation == {"k": 5, "m": 2}
+    assert res.notes == {"k": 5, "m": 2}
     assert rel_err(res.assemble(), oracle_drazin(anti_triangular(e, f))) <= 1e-9
 
 
@@ -891,7 +892,7 @@ def test_cor43_example45_matches_thm41():
     out = cor43_group(E45, F45)
     ref = thm41_group(E45, F45)
     assert_close(out.assemble(), ref.assemble(), 1e-12)
-    assert out.diagnostics["hypothesis_family"] in ("FEFpi", "both")
+    assert out.notes["hypothesis_family"] in ("FEFpi", "both")
 
 
 def test_cor43_idempotent_e():
@@ -995,7 +996,7 @@ def test_cor43_hypothesis_family_arbitration():
         assert compare(out, pair).passed
         if fpief <= 1e-10 * scale < fefpi:
             seen_strict += 1
-            assert out.diagnostics["hypothesis_family"] == "FpiEF"
+            assert out.notes["hypothesis_family"] == "FpiEF"
             # untransposed-family blocks, forced onto this instance
             wrong = thm41_display(e, f)
             oracle = oracle_drazin(assemble(pair))
@@ -1126,7 +1127,7 @@ def test_transposed_holder_checks_nothing_again_and_answers_as_before(monkeypatc
                     assert got == want, case
                     continue
                 assert type(got) is type(want) and np.array_equal(got.assemble(), want.assemble()), case
-                assert got.diagnostics == want.diagnostics, case
+                assert got.notes == want.notes, case
 
 
 # Derived rows that call their base row's body without re-entering _run, and
@@ -1219,7 +1220,7 @@ def test_matrix_entry_points_take_nested_lists(fn, args):
     listed = fn(*args)
     arrays = fn(*(np.asarray(a) if isinstance(a, list) else a for a in args))
     if isinstance(listed, BlockResult):
-        assert listed.truncation == arrays.truncation
+        assert listed.notes == arrays.notes
         listed, arrays = listed.assemble(), arrays.assemble()
     if isinstance(listed, np.ndarray):
         assert listed.dtype == arrays.dtype and np.array_equal(listed, arrays)
@@ -1295,15 +1296,17 @@ def test_blockpair_refuses_a_pattern_that_is_not_a_member(pattern):
 
 
 def test_one_route_per_call():
-    # a formula returns its one route; no second opinion rides along in
-    # diagnostics (only cor43/cor44 record which hypothesis family held)
+    # a formula returns its one route; no second opinion rides along in its
+    # notes: group answers record only which hypothesis family held (cor43,
+    # cor44), the others only their series caps
     from antitri import THEOREM_IDS, apply_formula
 
     for tid in THEOREM_IDS:
         pair = generate(GeneratorRecipe(tid, 3, 0))
         out = apply_formula(tid, pair.E, pair.F)
         assert not isinstance(out, NoGroupInverse), tid
-        assert set(getattr(out, "diagnostics", {})) <= {"hypothesis_family"}, tid
+        group = out.kind is InverseKind.GROUP
+        assert set(out.notes) <= ({"hypothesis_family"} if group else {"k", "m", "f_terms", "ind_e"}), tid
 
 
 PUBLIC = {
@@ -1353,8 +1356,7 @@ def test_public_function_is_its_registry_row():
                 assert type(got) is type(want) and got.pattern is want.pattern is row.pattern, case
                 assert got.kind is want.kind is row.kind, case
                 assert np.array_equal(got.assemble(), want.assemble()), case
-                assert getattr(got, "truncation", None) == getattr(want, "truncation", None), case
-                assert getattr(got, "diagnostics", None) == getattr(want, "diagnostics", None), case
+                assert got.notes == want.notes, case
         assert refused, tid
 
 

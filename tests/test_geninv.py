@@ -445,6 +445,15 @@ def test_certified_core_keeps_the_reference_recursion_bit_for_bit(rng, monkeypat
     _assert_reference_recursion(monkeypatch, inputs)
 
 
+@pytest.mark.parametrize("seed", [0, 6, 16, 35])
+def test_overflow_inside_the_recursion_raises(seed):
+    # a Kahan core that float64 cannot tell from singular: the unwinding's
+    # x @ x overflowed and A^D came back as NaN or Inf (index 10 or 11, exact 2)
+    a = _with_nilpotent_part(np.random.default_rng(seed), _kahan(24, 0.433), 2)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError, match="float64 range"):
+        drazin(a)
+
+
 def test_group_existence_rank_criterion():
     # numerical ranks of a and a^2 are judged at one common scale,
     # matching index_of's normalized-power semantics

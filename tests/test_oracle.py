@@ -7,7 +7,6 @@ from antitri import (
     BlockPair,
     BlockResult,
     DrazinResult,
-    GroupFormulaBlocks,
     GeneratorRecipe,
     InverseKind,
     NoGroupInverse,
@@ -76,7 +75,7 @@ def test_compare_fixture_and_corruption():
 
     from dataclasses import replace
 
-    corrupted = replace(res, Gamma=res.Gamma + 1.0)
+    corrupted = replace(res, tl=res.Gamma + 1.0)
     bad = compare(corrupted, ex)
     assert not bad.passed
     assert not bad.axioms.overall
@@ -89,7 +88,7 @@ def test_compare_refuses_a_tolerance_outside_zero_to_inf(tol):
 
     ex = example_45()
     res = thm41_group(ex.E, ex.F)
-    for x in (res, replace(res, Gamma=res.Gamma + 1.0)):
+    for x in (res, replace(res, tl=res.Gamma + 1.0)):
         with pytest.raises(ValueError, match="compare tol must be finite and >= 0"):
             compare(x, ex, tol)
 
@@ -101,7 +100,7 @@ def test_compare_at_zero_tol_asks_for_an_exact_match():
     res = thm41_group(ex.E, ex.F)
     verdict = compare(res, ex, 0.0)
     assert verdict.passed == (verdict.relative_error == 0.0)
-    assert not compare(replace(res, Gamma=res.Gamma + 1e-12), ex, 0.0).passed
+    assert not compare(replace(res, tl=res.Gamma + 1e-12), ex, 0.0).passed
 
 
 def test_compare_judges_small_answers_on_their_own_scale():
@@ -114,8 +113,7 @@ def test_compare_judges_small_answers_on_their_own_scale():
         pair = replace(ex, E=s * ex.E, F=s * ex.F)
         res = thm41_group(pair.E, pair.F)
         assert compare(res, pair).passed
-        zero = replace(res, Gamma=0 * res.Gamma, Delta=0 * res.Delta,
-                       Lambda=0 * res.Lambda, Xi=0 * res.Xi)
+        zero = replace(res, tl=0 * res.Gamma, tr=0 * res.Delta, bl=0 * res.Lambda, br=0 * res.Xi)
         verdict = compare(zero, pair)
         assert not verdict.passed and verdict.relative_error == 1.0
 
@@ -138,7 +136,7 @@ def test_compare_fails_group_blocks_where_ind_m_exceeds_one():
     pair = BlockPair(E=jordan_nilpotent(2), F=zeros(2, 2), pattern=Pattern.EI_F0)
     d = drazin(assemble(pair)).drazin
     blocks = (d[:2, :2], d[:2, 2:], d[2:, :2], d[2:, 2:])
-    as_group = compare(GroupFormulaBlocks(*blocks, pattern=pair.pattern), pair)
+    as_group = compare(BlockResult(*blocks, kind=InverseKind.GROUP, pattern=pair.pattern), pair)
     as_drazin = compare(BlockResult(*blocks, kind=InverseKind.DRAZIN, pattern=pair.pattern), pair)
     assert as_group.oracle_index == as_drazin.oracle_index == 3
     assert as_group.relative_error == as_drazin.relative_error == 0.0
