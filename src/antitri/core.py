@@ -179,6 +179,8 @@ def _eliminate(a: np.ndarray, tol: float, floor: float = 0.0):
     never mistaken for rank.
     """
     w = np.array(a, dtype=np.complex128, copy=True)
+    if w.ndim != 2:
+        raise ShapeError(f"expected a 2-d matrix, got ndim={w.ndim}")
     n, m = w.shape
     steps = min(n, m)
     left = np.zeros((n, steps), dtype=np.complex128)

@@ -50,8 +50,8 @@ the squares x @ x of the recursion neither underflow nor overflow at
 extreme scale.  An A^D beyond the float64 range raises OverflowError,
 as does one that overflowed inside the recursion to NaN or Inf.
 
-:func:`index_of` ranks powers of A directly and stays as an
-independent check of the index.
+:func:`index_of` reads the index off that same recursion; there is no
+second index algorithm.
 
 This module is the independent oracle that every closed-form block
 representation in :mod:`antitri.formulas` is checked against.
@@ -70,8 +70,8 @@ from .core import (
     frobenius_norm,
     identity,
     matrix_power,
-    rank,
     rank_factorize,
+    require_tol,
     ShapeError,
     square_matrix,
     zeros,
@@ -101,29 +101,8 @@ class DrazinResult:
 
 
 def index_of(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """Smallest k >= 0 with rank(a^k) == rank(a^(k+1)); always <= n.
-
-    Powers are taken of a/max|a| so the rank of every power is judged
-    at one absolute scale; otherwise the noise left in a high power of
-    a nilpotent-part matrix would read as full rank.
-    """
-    a = square_matrix(a, "index_of")
-    n = a.shape[0]
-    if n == 0:
-        return 0
-    scale = float(np.max(np.abs(a)))
-    if not math.isfinite(scale):  # before a / scale turns Inf into NaN
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    b = a / scale if scale > 0 else a
-    prev_rank = n  # rank(a^0) = rank(I)
-    power = identity(n)
-    for k in range(n + 1):
-        power = power @ b  # b^(k+1)
-        next_rank = rank(power, tol, floor=tol)
-        if next_rank == prev_rank:
-            return k
-        prev_rank = next_rank
-    return n
+    """ind(a), the ``index`` of :func:`drazin`."""
+    return drazin(square_matrix(a, "index_of"), tol).index
 
 
 def _drazin_core(a: np.ndarray, tol: float, floor: float) -> tuple[np.ndarray, int]:
@@ -221,8 +200,9 @@ def verify_drazin_axioms(
     where X itself does not.  Each residual is compared against
     tol * max(1, |a|_F) * max(1, |x|_F) and passes only when
     residual <= threshold < inf, so a threshold that overflowed passes
-    nothing.
+    nothing.  ValueError unless 0 < tol < inf.
     """
+    require_tol(tol)
     a, x = square_matrix(a, "verify_drazin_axioms"), square_matrix(x, "verify_drazin_axioms")
     if a.shape != x.shape:
         raise ShapeError(f"axiom check needs equal square shapes, got {a.shape} and {x.shape}")

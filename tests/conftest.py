@@ -61,6 +61,27 @@ def mixed_similarity(rng, n):
     return matrix(s @ block @ s_inv), block, s, s_inv
 
 
+def svd_index(a):
+    """ind(a) from singular values, independent of the library's elimination.
+
+    range(a^(k+1)) is a applied to an orthonormal basis of range(a^k), so
+    rounding stays at the level of |a| instead of compounding over powers;
+    a singular value counts when it exceeds 1e-9 |a|_2.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    cut = 1e-9 * (float(np.linalg.norm(a, 2)) if a.size else 0.0)
+    basis = np.eye(a.shape[0], dtype=np.complex128)
+    k = 0
+    while basis.shape[1]:
+        u, s, _ = np.linalg.svd(a @ basis, full_matrices=False)
+        r = int(np.count_nonzero(s > cut))
+        if r == basis.shape[1]:
+            break
+        basis = u[:, :r]
+        k += 1
+    return k
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

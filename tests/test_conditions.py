@@ -17,7 +17,7 @@ from antitri import (
 )
 from antitri.conditions import _free, _invertible_diag, _unimodular
 from antitri.formulas import REGISTRY
-from conftest import jordan_nilpotent, unimodular_pair
+from conftest import jordan_nilpotent, svd_index, unimodular_pair
 
 # violations that are structurally feasible, per formula id
 FEASIBLE_VIOLATIONS = {
@@ -265,13 +265,13 @@ def test_negative_seed_names_the_recipe():
 
 
 def test_violated_existence_clause_matches_oracle_index():
-    from antitri import assemble, index_of
+    from antitri import assemble
 
     pair = generate(GeneratorRecipe("thm31", 3, 1, violate="EpiFpi"))
     rep = check_conditions(pair.E, pair.F, "thm31")
     assert not rep.entry("EpiFpi").passed
     assert rep.entry("FEFpi").passed
-    assert index_of(assemble(pair)) >= 2
+    assert svd_index(assemble(pair)) >= 2
 
 
 def test_gate_and_report_give_one_verdict():

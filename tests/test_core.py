@@ -17,6 +17,7 @@ from antitri import (
     invert,
     matrix,
     matrix_power,
+    rank,
     rank_factorize,
     solve,
     zeros,
@@ -167,6 +168,14 @@ def test_rank_factorize_examples():
     f = rank_factorize(a)
     assert f.rank == 1
     assert frobenius_norm(a - f.left @ f.right) <= 1e-12
+
+
+@pytest.mark.parametrize("a", [np.array(1.0), np.array([1.0, 2.0]), np.ones((2, 2, 2))], ids=["0d", "1d", "3d"])
+def test_rank_refuses_input_that_is_not_2d(a):
+    # unpacking w.shape raised "not enough / too many values to unpack"
+    for call in (rank, rank_factorize):
+        with pytest.raises(ShapeError, match="2-d matrix"):
+            call(a)
 
 
 def test_rank_zero_factors_are_empty():

@@ -53,7 +53,7 @@ from antitri import (
 )
 from antitri.core import DEFAULT_TOL, block2x2
 from antitri.formulas import REGISTRY, _DrazinData, _judge, _power_sum
-from conftest import assert_close, jordan_nilpotent, random_complex, rel_err, unimodular_pair
+from conftest import assert_close, jordan_nilpotent, random_complex, rel_err, svd_index, unimodular_pair
 
 E45 = matrix([[1, 2], [0, -1]])
 F45 = matrix([[1j, 1j], [0, 0]])
@@ -678,7 +678,7 @@ def test_thm31_no_group_when_e_nilpotent():
     assert isinstance(out, NoGroupInverse)
     assert "EpiFpi" in out.failed
     m = anti_triangular(e, zeros(2, 2))
-    assert index_of(m) >= 2
+    assert svd_index(m) >= 2
 
 
 def test_thm31_hypothesis_gate():
@@ -752,7 +752,7 @@ def test_cor35_lambda_minus_one():
     assert isinstance(out, NoGroupInverse)
     assert "FFpi" in out.failed
     m = np.block([[e, f], [identity(2), zeros(2, 2)]])
-    assert index_of(m) >= 2
+    assert svd_index(m) >= 2
 
 
 def test_cor35_commutation_gate():
@@ -828,7 +828,7 @@ def test_thm41_existence_violation():
     out = thm41_group(pair.E, pair.F)
     assert isinstance(out, NoGroupInverse)
     assert out.failed == ("EEpiFpi",)
-    assert index_of(assemble(pair)) >= 2
+    assert svd_index(assemble(pair)) >= 2
 
 
 def test_thm41_requires_group_f():
@@ -862,7 +862,7 @@ def test_cor42_refuses_an_existence_violated_pair_at_1e160(seed):
     # the unit pair's M has index 2; at 1e160 every threshold overflows to
     # inf, which used to pass FpiEF and FpiEpiE and return group blocks
     pair = generate(GeneratorRecipe("cor42", 3, seed, violate="FpiEpiE"))
-    assert index_of(assemble(pair)) == 2
+    assert svd_index(assemble(pair)) == 2
     with pytest.raises(HypothesisError) as err:
         cor42_group(1e160 * pair.E, 1e160 * pair.F)
     assert err.value.clause == "FpiEF"

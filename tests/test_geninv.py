@@ -36,6 +36,7 @@ from conftest import (
     mixed_similarity,
     random_complex,
     rel_err,
+    svd_index,
     unimodular_pair,
     well_conditioned,
 )
@@ -132,6 +133,13 @@ def test_axiom_verifier():
     assert max(e.residual for e in bad.entries) > 1e-3
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.inf, np.nan])
+def test_axiom_verifier_refuses_a_bad_tol(tol):
+    # a tol outside (0, inf) used to fail all three axioms quietly
+    with pytest.raises(ValueError, match="finite tol > 0"):
+        verify_drazin_axioms(identity(2), identity(2), 1, tol)
+
+
 def test_axiom_residuals_are_the_unshared_expressions_bit_for_bit(rng):
     # AX and XA are formed once and shared; the association is unchanged
     def unshared(a, x, k):
@@ -189,18 +197,41 @@ def _instance_mix(rng, n):
     return p
 
 
-def test_recursion_index_matches_index_of(rng):
-    for _ in range(60):
-        n = int(rng.integers(1, 9))
-        a = _instance_mix(rng, n)
-        assert drazin(a).index == index_of(a)
+def test_svd_index_on_known_indices(rng):
+    # the independent reference itself, on matrices whose index is known by construction
+    assert svd_index(zeros(0, 0)) == 0
+    for n in range(1, 9):
+        assert svd_index(jordan_nilpotent(n)) == n
+        assert svd_index(zeros(n, n)) == 1
+        assert svd_index(well_conditioned(rng, n)) == 0
+        a, block, _, _ = mixed_similarity(rng, n)
+        r = int(np.count_nonzero(np.diag(block) != 0))  # the invertible C, then a Jordan N of order n - r
+        assert svd_index(block) == svd_index(a) == n - r
+
+
+def test_recursion_index_matches_svd_index(rng):
+    inputs = [_instance_mix(rng, int(rng.integers(1, 9))) for _ in range(60)]
+    for tid in THEOREM_IDS:  # E, F and M of the master sweep's instances
+        for seed in range(200):
+            pair = generate(GeneratorRecipe(tid, 1 + seed % 4, seed))
+            inputs += [pair.E, pair.F, assemble(pair)]
+    for a in inputs:
+        assert drazin(a).index == svd_index(a)
 
 
 def test_recursion_index_of_non_normal_instance():
     # |M|_2 = 548 with eigenvalues near 1; the powers of M have ranks
     # 6, 5, 4, 3, 3, so ind(M) = 3, where ranking raw powers reads 5
     m = assemble(generate(GeneratorRecipe("thm25", 3, 1031673702)))
-    assert drazin(m).index == 3
+    assert drazin(m).index == index_of(m) == svd_index(m) == 3
+
+
+@pytest.mark.parametrize("tid", ["thm25", "cor26", "thm27"])
+@pytest.mark.parametrize("seed, index", [(35, 5), (39, 4)])
+def test_index_of_reads_the_recursion_on_non_normal_m(tid, seed, index):
+    # ranking raw powers of M read 8 and 6: rounding compounded over the powers
+    m = assemble(generate(GeneratorRecipe(tid, 1 + seed % 4, seed)))
+    assert index_of(m) == svd_index(m) == index
 
 
 def test_drazin_work_per_call(rng, monkeypatch):
@@ -293,7 +324,7 @@ def test_index_zero_iff_invertible(rng):
         n = int(rng.integers(1, 7))
         a = _instance_mix(rng, n)
         invertible = rank(a) == n
-        assert (index_of(a) == 0) == invertible
+        assert (svd_index(a) == 0) == invertible
         assert (drazin(a).index == 0) == invertible
 
 
@@ -448,15 +479,17 @@ def test_certified_core_keeps_the_reference_recursion_bit_for_bit(rng, monkeypat
 @pytest.mark.parametrize("seed", [0, 6, 16, 35])
 def test_overflow_inside_the_recursion_raises(seed):
     # a Kahan core that float64 cannot tell from singular: the unwinding's
-    # x @ x overflowed and A^D came back as NaN or Inf (index 10 or 11, exact 2)
+    # x @ x overflowed and A^D came back as NaN or Inf (index 10 or 11, exact 2);
+    # index_of, which ranked powers of A, read 5 to 7 there
     a = _with_nilpotent_part(np.random.default_rng(seed), _kahan(24, 0.433), 2)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError, match="float64 range"):
-        drazin(a)
+    for call in (drazin, index_of):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError, match="float64 range"):
+            call(a)
 
 
 def test_group_existence_rank_criterion():
-    # numerical ranks of a and a^2 are judged at one common scale,
-    # matching index_of's normalized-power semantics
+    # numerical ranks of a and a^2 are judged at one common floor,
+    # tol * max|a|, as drazin's recursion judges every level's rank
     rng = np.random.default_rng(99)
     for checked in range(500):
         n = int(rng.integers(1, 7))
