@@ -200,9 +200,9 @@ def cmd_gen(args):
         pair = generate(recipe)
     except (InfeasibleRecipeError, KeyError) as err:
         raise InputError(str(err)) from None
+    conditions = check_conditions(pair.E, pair.F, args.theorem, args.tol)  # a bad tol refuses before a write
     write_matrix(args.e_out, pair.E)
     write_matrix(args.f_out, pair.F)
-    conditions = check_conditions(pair.E, pair.F, args.theorem, args.tol)
     echo = ["gen", args.theorem, f"n={args.n}", f"seed={args.seed}", f"violate={args.violate}"]
     fields = {
         "conditions": conditions.to_dict(),

@@ -21,18 +21,16 @@ answer, not an error.
 
 Each formula id is one row of ``REGISTRY``: pattern, inverse kind, the
 clauses that refuse the pair (HypothesisError) and those that answer
-NoGroupInverse, and a body of one ``_DrazinData``.  ``_run``, the one
-dispatcher, gates the row, then calls the body; each public formula is
-``_run`` on a fresh holder.  The base rows thm23, thm25, thm31 and thm41
-evaluate their blocks.  The other rows map a base answer on the same
-Drazin data.  Six call the base body itself, since their gate judged
-every base clause: thm27 relabels thm25 as Drazin; cor26 and cor32 push
-thm25 and thm31 through [[E, F], [I, 0]] = T^-1 [[E, I], [F, 0]] T,
-T = [[0, I], [I, -E]], in n x n blocks; thm33, cor34 and cor42 transpose
-thm31, cor32 and thm41 run on the plain holder of (E^T, F^T).  The
-bases of cor35, cor43 and cor44 judge a clause these rows do not list,
-so they re-enter ``_run``: cor35 runs thm33, cor44 runs cor43, and
-cor43 runs thm41 or cor42.
+NoGroupInverse, and a body.  ``_run``, the one dispatcher, gates a row,
+then calls ``row.body(d, row)``, whose answer takes the row's kind and
+pattern; each public formula is ``_run`` on a fresh holder.  Rows other
+than thm23, thm25, thm31, thm41 and cor43 are built from the row the
+paper derives them from: ``_similar`` maps thm25 and thm31 through
+[[E, F], [I, 0]] = T^-1 [[E, I], [F, 0]] T, T = [[0, I], [I, -E]] (cor26,
+cor32); ``_dual`` transposes thm31, cor32 and thm41 on (E^T, F^T) and
+dualizes each clause (thm33, cor34, cor42); thm27 is thm25 of kind
+Drazin.  These call the base body, as their gate judged every base
+clause; cor35 and cor44, under other hypotheses, re-enter ``_run``.
 
 thm25 takes the constructive route M = P + Q, because the printed n x n
 recipe of Theorem 2.5 is misprinted (see the README's Errata): Q^d from
@@ -59,7 +57,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -322,9 +320,9 @@ def _gate(
 
 
 def _run(d: _DrazinData, theorem_id: str) -> BlockResult | NoGroupInverse:
-    """The one dispatcher: gate the row of ``theorem_id`` on ``d``, then compute its body."""
+    """The one dispatcher: gate the row of ``theorem_id`` on ``d``, then compute its body with the row."""
     row = REGISTRY[theorem_id]
-    return _gate(d, theorem_id, row.hypotheses, row.existence_clauses) or row.body(d)
+    return _gate(d, theorem_id, row.hypotheses, row.existence_clauses) or row.body(d, row)
 
 
 def _power_sum(a: np.ndarray, c: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
@@ -407,7 +405,7 @@ def thm23(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult
     return _run(_DrazinData(e, f, tol), "thm23")
 
 
-def _thm23(d: _DrazinData) -> BlockResult:
+def _thm23(d: _DrazinData, row: _Formula) -> BlockResult:
     """Theorem 2.3's printed blocks regrouped into two series; the display is pinned in the tests.
 
     W = sum_{i < ind F} (E^D)^(2i+1) F^i F^pi and U = sum_{i < ind E / 2} E^(2i) E^pi (F^D)^(i+2);
@@ -430,10 +428,10 @@ def _thm23(d: _DrazinData) -> BlockResult:
     sig = edw - e @ edfd + t2 + f @ (ed2 @ (edw - fd) + u)
     gam = f @ (epifd + edw + t2)
     notes = {"f_terms": ind_f, "ind_e": ind_e}
-    return BlockResult(lam, sig, gam, delt, InverseKind.G_DRAZIN, Pattern.EI_F0, notes)
+    return BlockResult(lam, sig, gam, delt, row.kind, row.pattern, notes)
 
 
-def _anti_triangular(d: _DrazinData) -> BlockResult:
+def _anti_triangular(d: _DrazinData, row: _Formula) -> BlockResult:
     """Body of thm25, the base of cor26 and thm27: E F E F^pi = F^2 E F^pi = 0.
 
     Splits M = P + Q along the idempotent diag(F^pi, 0): P is the
@@ -490,7 +488,7 @@ def _anti_triangular(d: _DrazinData) -> BlockResult:
     h = _power_sum(q, identity(2 * n) - q @ qd, pd, k_cap + 1)
     md = qd @ block2x2(fpi, z, z, fpi) + h @ pd
     notes = {"k": k_cap, "m": m_cap}
-    return BlockResult(*split2x2(md, n, n), InverseKind.G_DRAZIN, Pattern.EI_F0, notes)
+    return BlockResult(*split2x2(md, n, n), row.kind, row.pattern, notes)
 
 
 def thm25(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult:
@@ -520,37 +518,40 @@ def cor26(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult
 # maps between the answers of the three patterns
 
 
-def _to_ef_i0(e, gamma, delta, lam, xi):
-    """Blocks of T^-1 X T for X = [[Gamma, Delta], [Lambda, Xi]], T = [[0, I], [I, -E]].
+def _to_ef_i0(e: np.ndarray, out: BlockResult) -> BlockResult:
+    """T^-1 X T for the answer X = [[Gamma, Delta], [Lambda, Xi]], T = [[0, I], [I, -E]].
 
     T^-1 = [[E, I], [I, 0]] and [[E, F], [I, 0]] = T^-1 [[E, I], [F, 0]] T, so
     this maps an answer for [[E, I], [F, 0]] to one for [[E, F], [I, 0]].
     """
-    top = e @ delta + xi
-    return top, e @ gamma + lam - top @ e, delta, gamma - delta @ e
+    top = e @ out.tr + out.br
+    return replace(out, tl=top, tr=e @ out.tl + out.bl - top @ e, bl=out.tr, br=out.tl - out.tr @ e)
+
+
+def _transposed_answer(out: BlockResult) -> BlockResult:
+    """X^T for the answer X = [[Gamma, Delta], [Lambda, Xi]]: [[Gamma^T, Lambda^T], [Delta^T, Xi^T]]."""
+    return replace(out, tl=out.tl.T, tr=out.bl.T, bl=out.tr.T, br=out.br.T)
 
 
 # Transposing or conjugating by T swaps [[E, I], [F, 0]] and [[E, F], [I, 0]];
 # [[E, F], [F, 0]] is its own transpose.
-_MAPPED_PATTERN = {Pattern.EI_F0: Pattern.EF_I0, Pattern.EF_I0: Pattern.EI_F0}
+_MAPPED_PATTERN = {Pattern.EI_F0: Pattern.EF_I0, Pattern.EF_I0: Pattern.EI_F0, Pattern.EF_F0: Pattern.EF_F0}
 
 
-def _mapped(out: BlockResult, blocks_map) -> BlockResult:
-    """The answer ``out`` with its four blocks mapped by ``blocks_map``."""
-    tl, tr, bl, br = blocks_map(out.tl, out.tr, out.bl, out.br)
-    pattern = _MAPPED_PATTERN.get(out.pattern, out.pattern)
-    return replace(out, tl=tl, tr=tr, bl=bl, br=br, pattern=pattern)
+def _similar(base: _Formula) -> _Formula:
+    """The similarity corollary of ``base``: its clauses, its body's answer mapped by :func:`_to_ef_i0`."""
+    return replace(
+        base, pattern=_MAPPED_PATTERN[base.pattern], body=lambda d, row: _to_ef_i0(d.e, base.body(d, row))
+    )
 
 
-def _similar(base_id: str):
-    """Body of a similarity corollary: the base row's body, its answer mapped by :func:`_to_ef_i0`."""
-    return lambda d: _mapped(REGISTRY[base_id].body(d), partial(_to_ef_i0, d.e))
-
-
-def _dual(base_id: str):
-    """Body of a transpose dual: the base row's body on the plain holder d.T, its answer transposed."""
-    # X^T for X = [[Gamma, Delta], [Lambda, Xi]] is [[Gamma^T, Lambda^T], [Delta^T, Xi^T]]
-    return lambda d: _mapped(REGISTRY[base_id].body(d.T), lambda g, dl, lm, x: (g.T, lm.T, dl.T, x.T))
+def _dual(base: _Formula) -> _Formula:
+    """The transpose dual of ``base``: its clauses' duals, its body on the plain holder d.T, transposed."""
+    return replace(
+        base, pattern=_MAPPED_PATTERN[base.pattern], hypotheses=tuple(map(dual_clause, base.hypotheses)),
+        existence_clauses=tuple(map(dual_clause, base.existence_clauses)),
+        body=lambda d, row: _transposed_answer(base.body(d.T, row)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +567,7 @@ def thm31_group(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> Block
     return _run(_DrazinData(e, f, tol), "thm31")
 
 
-def _thm31(d: _DrazinData) -> BlockResult:
+def _thm31(d: _DrazinData, row: _Formula) -> BlockResult:
     e, f = d.e, d.f
     fs, fpi = d.F.drazin, d.F.idempotent  # index <= 1: Drazin inverse is the group inverse
     edfpi = d.E.drazin @ fpi
@@ -574,7 +575,7 @@ def _thm31(d: _DrazinData) -> BlockResult:
     delta = fs + edfpi @ edfpi - edfpi @ e @ fs
     lam = f @ fs
     xi = -f @ fs @ e @ fs
-    return BlockResult(gamma, delta, lam, xi, InverseKind.GROUP, Pattern.EI_F0)
+    return BlockResult(gamma, delta, lam, xi, row.kind, row.pattern)
 
 
 def cor32_group(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult | NoGroupInverse:
@@ -637,7 +638,7 @@ def thm41_group(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> Block
     return _run(_DrazinData(e, f, tol), "thm41")
 
 
-def _thm41(d: _DrazinData) -> BlockResult:
+def _thm41(d: _DrazinData, row: _Formula) -> BlockResult:
     f = d.f
     fs, fpi = d.F.drazin, d.F.idempotent
     efs = d.e @ fs
@@ -652,7 +653,7 @@ def _thm41(d: _DrazinData) -> BlockResult:
     v = core @ efs2
     lam = f @ (core @ core - v) + fs
     xi = f @ (core @ delta_inner) - (fs - f @ v) @ efs
-    return BlockResult(gamma, delta, lam, xi, InverseKind.GROUP, Pattern.EF_F0)
+    return BlockResult(gamma, delta, lam, xi, row.kind, row.pattern)
 
 
 def cor42_group(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> BlockResult | NoGroupInverse:
@@ -682,7 +683,7 @@ def cor43_group(e: np.ndarray, f: np.ndarray, tol: float = DEFAULT_TOL) -> Block
     return _run(_DrazinData(e, f, tol), "cor43")
 
 
-def _cor43(d: _DrazinData) -> BlockResult:
+def _cor43(d: _DrazinData, row: _Formula) -> BlockResult:
     fefpi, fpief = _judge(d, "FEFpi").passed, _judge(d, "FpiEF").passed
     # only the transposed machinery is sound for the F^pi E F family
     out = _run(d, "thm41" if fefpi else "cor42")
@@ -721,17 +722,16 @@ class _Formula:
     A failing clause of ``hypotheses`` refuses the pair (HypothesisError);
     failing clauses of ``existence_clauses`` answer NoGroupInverse.
     Clauses that need no Drazin datum come first, so a refusal computes
-    no Drazin inverse it does not read.  ``body`` computes the answer
-    from the holder alone once :func:`_run` has gated the row: a base row
-    evaluates its blocks, any other row maps the answer of its base row.
-    Only cor35, cor43 and cor44 gate their base row again, via ``_run``.
+    no Drazin inverse it does not read.  ``body(d, row)`` computes the
+    answer, of ``row``'s kind and pattern, once :func:`_run` has gated
+    ``row``.  Only cor35, cor43 and cor44 gate their base row again.
     """
 
     pattern: Pattern
     kind: InverseKind
     hypotheses: tuple[str, ...]
     existence_clauses: tuple[str, ...]
-    body: Callable[[_DrazinData], BlockResult]
+    body: Callable[[_DrazinData, _Formula], BlockResult | NoGroupInverse]
 
     @property
     def clauses(self) -> tuple[str, ...]:
@@ -752,26 +752,23 @@ class _Registry(dict):
         raise KeyError(f"unknown formula id {theorem_id!r}")
 
 
-_ANTI = ("EFEFpi", "F2EFpi")
-_EXISTS, _EXISTS_T = ("FFpi", "EpiFpi"), ("FFpi", "FpiEpi")
-_GROUP = InverseKind.GROUP
-REGISTRY = _Registry({
-    "thm23": _Formula(Pattern.EI_F0, InverseKind.G_DRAZIN, ("EFE", "F2E"), (), _thm23),
-    "thm25": _Formula(Pattern.EI_F0, InverseKind.G_DRAZIN, _ANTI, (), _anti_triangular),
-    "cor26": _Formula(Pattern.EF_I0, InverseKind.G_DRAZIN, _ANTI, (), _similar("thm25")),
-    "thm27": _Formula(
-        Pattern.EI_F0, InverseKind.DRAZIN, _ANTI, (), lambda d: replace(_anti_triangular(d), kind=InverseKind.DRAZIN)
-    ),
-    "thm31": _Formula(Pattern.EI_F0, _GROUP, ("FEFpi",), _EXISTS, _thm31),
-    "cor32": _Formula(Pattern.EF_I0, _GROUP, ("FEFpi",), _EXISTS, _similar("thm31")),
-    "thm33": _Formula(Pattern.EF_I0, _GROUP, ("FpiEF",), _EXISTS_T, _dual("thm31")),
-    "cor34": _Formula(Pattern.EI_F0, _GROUP, ("FpiEF",), _EXISTS_T, _dual("cor32")),
-    "cor35": _Formula(Pattern.EF_I0, _GROUP, ("EF2-FEF",), _EXISTS_T, lambda d: _run(d, "thm33")),
-    "thm41": _Formula(Pattern.EF_F0, _GROUP, ("FFpi", "FEFpi"), ("EEpiFpi",), _thm41),
-    "cor42": _Formula(Pattern.EF_F0, _GROUP, ("FFpi", "FpiEF"), ("FpiEpiE",), _dual("thm41")),
-    "cor43": _Formula(Pattern.EF_F0, _GROUP, ("EEpi", "FFpi", "FEFpi|FpiEF"), (), _cor43),
-    "cor44": _Formula(Pattern.EF_F0, _GROUP, ("EF2-FEF", "EEpi", "FFpi"), (), lambda d: _run(d, "cor43")),
-})
+# Each row is written once, in order: a derived row is built from the row it derives from.
+REGISTRY = _Registry()
+REGISTRY["thm23"] = _Formula(Pattern.EI_F0, InverseKind.G_DRAZIN, ("EFE", "F2E"), (), _thm23)
+REGISTRY["thm25"] = _Formula(Pattern.EI_F0, InverseKind.G_DRAZIN, ("EFEFpi", "F2EFpi"), (), _anti_triangular)
+REGISTRY["cor26"] = _similar(REGISTRY["thm25"])
+REGISTRY["thm27"] = replace(REGISTRY["thm25"], kind=InverseKind.DRAZIN)
+REGISTRY["thm31"] = _Formula(Pattern.EI_F0, InverseKind.GROUP, ("FEFpi",), ("FFpi", "EpiFpi"), _thm31)
+REGISTRY["cor32"] = _similar(REGISTRY["thm31"])
+REGISTRY["thm33"] = _dual(REGISTRY["thm31"])
+REGISTRY["cor34"] = _dual(REGISTRY["cor32"])
+REGISTRY["cor35"] = replace(REGISTRY["thm33"], hypotheses=("EF2-FEF",), body=lambda d, row: _run(d, "thm33"))
+REGISTRY["thm41"] = _Formula(Pattern.EF_F0, InverseKind.GROUP, ("FFpi", "FEFpi"), ("EEpiFpi",), _thm41)
+REGISTRY["cor42"] = _dual(REGISTRY["thm41"])
+REGISTRY["cor43"] = _Formula(Pattern.EF_F0, InverseKind.GROUP, ("EEpi", "FFpi", "FEFpi|FpiEF"), (), _cor43)
+REGISTRY["cor44"] = replace(
+    REGISTRY["cor43"], hypotheses=("EF2-FEF", "EEpi", "FFpi"), body=lambda d, row: _run(d, "cor43")
+)
 
 
 def _holder(theorem_id: str, e: np.ndarray, f: np.ndarray, tol: float, lam: complex | None):

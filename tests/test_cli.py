@@ -517,6 +517,17 @@ def test_cmd_negative_count_or_seed_is_an_input_error(tmp_path, monkeypatch, cap
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_cmd_gen_bad_tol_refuses_before_writing(tmp_path, monkeypatch, capsys, tol):
+    # gen wrote both files, then exited 3 on the tol
+    monkeypatch.chdir(tmp_path)
+    code = main(["gen", "e.json", "f.json", "--theorem", "thm31", "--n", "2", "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == EXIT_IO and not captured.out
+    assert "finite tol > 0" in captured.err
+    assert not (tmp_path / "e.json").exists() and not (tmp_path / "f.json").exists()
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
 def test_cmd_block_bad_tol_is_an_input_error_for_every_id(capsys, tol):
     # thm23's first clause needs no Drazin datum, so tol = -1 was judged and
     # exited 1 as a failed hypothesis, while thm41 exited 3

@@ -1131,15 +1131,20 @@ def test_transposed_holder_checks_nothing_again_and_answers_as_before(monkeypatc
 
 
 # Derived rows that call their base row's body without re-entering _run, and
-# whether their clauses are the base row's transpose duals.
+# the paper's relation to it: the similarity T = [[0, I], [I, -E]], the
+# transpose dual, or the same algebra read as a Drazin inverse.
 DIRECT_BASE = {
-    "thm27": ("thm25", False),
-    "cor26": ("thm25", False),
-    "cor32": ("thm31", False),
-    "cor34": ("cor32", True),
-    "thm33": ("thm31", True),
-    "cor42": ("thm41", True),
+    "thm27": ("thm25", "drazin"),
+    "cor26": ("thm25", "similar"),
+    "cor32": ("thm31", "similar"),
+    "cor34": ("cor32", "dual"),
+    "thm33": ("thm31", "dual"),
+    "cor42": ("thm41", "dual"),
 }
+# Rows that hand the pair to another row through _run, under hypotheses of their own.
+DELEGATED = {"cor35": "thm33", "cor44": "cor43"}
+# Conjugating by T or transposing swaps [[E, I], [F, 0]] and [[E, F], [I, 0]].
+_SWAPPED = {Pattern.EI_F0: Pattern.EF_I0, Pattern.EF_I0: Pattern.EI_F0, Pattern.EF_F0: Pattern.EF_F0}
 
 
 def test_derived_rows_run_their_base_body_once_gated(monkeypatch):
@@ -1148,11 +1153,18 @@ def test_derived_rows_run_their_base_body_once_gated(monkeypatch):
     import antitri.formulas as formulas
     from antitri.formulas import _run, dual_clause
 
-    for tid, (base, dual) in DIRECT_BASE.items():
+    for tid, (base, relation) in DIRECT_BASE.items():
         row, base_row = REGISTRY[tid], REGISTRY[base]
-        same = dual_clause if dual else (lambda name: name)
+        same = dual_clause if relation == "dual" else (lambda name: name)
         assert row.hypotheses == tuple(map(same, base_row.hypotheses)), tid
         assert row.existence_clauses == tuple(map(same, base_row.existence_clauses)), tid
+        pattern = base_row.pattern if relation == "drazin" else _SWAPPED[base_row.pattern]
+        kind = InverseKind.DRAZIN if relation == "drazin" else base_row.kind
+        assert (row.pattern, row.kind) == (pattern, kind), tid
+    for tid, base in DELEGATED.items():
+        row, base_row = REGISTRY[tid], REGISTRY[base]
+        assert (row.pattern, row.kind) == (base_row.pattern, base_row.kind), tid
+        assert row.existence_clauses == base_row.existence_clauses, tid
 
     # the transposed holder is plain: nothing judges a clause on it, though
     # each of the four rows answers through it on an F^pi E F = 0 pair
