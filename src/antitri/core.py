@@ -11,10 +11,10 @@ int input never wraps, and a complex128 array passes as itself.
 
 Rank decisions use Gaussian elimination with complete pivoting (GECP)
 and a threshold relative to the largest pivot (default ``1e-10``).
-:func:`certified_inverse` runs LAPACK ``inv`` and keeps it only when its
-norm proves that the elimination would find full rank; :func:`solve` and
-:func:`invert` ask it first, run the elimination only when it cannot
-decide, then pass the caller's own matrix to LAPACK.  No eigen/SVD anywhere.
+:func:`solve` and :func:`invert` pass the caller's own matrix to LAPACK
+LU once it has certified full rank.  :func:`certified_inverse` runs the
+other way round: LAPACK ``inv`` first, kept only when its norm proves
+that the elimination would certify full rank.  No eigen/SVD anywhere.
 
 :func:`frobenius_norm` has two paths.  In the normal range it is one
 BLAS dot, s = vdot(a, a), and returns sqrt(s) when 2^-900 <= s < inf:
@@ -256,10 +256,7 @@ def rank(a: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> int:
 
 
 def _certified(a: np.ndarray, tol: float, floor: float) -> np.ndarray:
-    """The square a, once :func:`certified_inverse` or else the elimination has certified it of full rank."""
-    require_tol(tol)  # before the certificate, whose cut would read a negative tol as 0
-    if certified_inverse(a, tol, floor) is not None:
-        return a
+    """The square a, once the elimination has certified it of full rank."""
     r, n = rank_factorize(a, tol, floor).rank, a.shape[0]
     if r < n:
         raise SingularMatrixError(f"matrix is singular to tolerance {tol:g} (rank {r} < {n})")

@@ -364,31 +364,6 @@ def test_inverse_certificate_refuses_a_pivot_within_its_margin_of_the_cut():
         assert certified_inverse(zeros(2, 2), 1e-10, floor=1e-10) is None
 
 
-def test_invert_and_solve_skip_the_elimination_when_lapack_certifies(monkeypatch, rng):
-    # both ran the whole complete-pivoting elimination before LAPACK, even
-    # when the inverse's own norm already proved full rank
-    import antitri.core as core
-
-    calls = []
-    real = core._eliminate
-    monkeypatch.setattr(core, "_eliminate", lambda *args: calls.append(1) or real(*args))
-    a = well_conditioned(rng, 32)
-    assert np.array_equal(invert(a), np.linalg.inv(a))
-    assert np.array_equal(solve(a, identity(32)), np.linalg.solve(a, identity(32)))
-    assert calls == []
-    invert(diag(1, 1e-9))  # within INVERSE_MARGIN of the cut: the elimination decides
-    assert calls == [1]
-
-
-@pytest.mark.parametrize("tol", [-1.0, 0.0, math.inf, math.nan])
-def test_invert_and_solve_refuse_a_bad_tol(tol):
-    # the certificate's cut reads tol = -1 as 0: checked only after it, -1 would pass
-    with pytest.raises(ValueError, match="finite tol > 0"):
-        invert(identity(2), tol)
-    with pytest.raises(ValueError, match="finite tol > 0"):
-        solve(identity(2), identity(2), tol)
-
-
 def test_inverse_certificate_of_the_empty_matrix():
     # max|a| of a 0 x 0 a is taken as 0: numpy's max raised "zero-size array"
     from antitri.core import certified_inverse
