@@ -4,12 +4,16 @@ The oracle assembles the 2n x 2n matrix for a pattern, treats it as an
 opaque dense matrix, and Drazin/group-inverts it directly through
 :mod:`antitri.geninv`.  It never consumes the block structure beyond
 assembly; that independence from the formula path is its entire value.
+A verdict's Drazin-axiom report is formed on the first read of
+``ComparisonVerdict.axioms``, so a sweep that reads only ``passed`` pays
+for the one Drazin inverse of M and no axiom check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +28,18 @@ class ComparisonVerdict:
     relative_error: float | None  # None, like axioms, for a NoGroupInverse
     passed: bool
     oracle_index: int
-    axioms: ConditionReport | None
+    # (M, assembled answer, compute_tol) for the axiom report; None for a NoGroupInverse
+    _axiom_inputs: tuple[np.ndarray, np.ndarray, float] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    @cached_property
+    def axioms(self) -> ConditionReport | None:
+        """The answer checked against the Drazin axioms of M at the oracle's index, on first read."""
+        if self._axiom_inputs is None:
+            return None
+        m, assembled, compute_tol = self._axiom_inputs
+        return verify_drazin_axioms(m, assembled, self.oracle_index, compute_tol)
 
 
 def assemble(pair: BlockPair) -> np.ndarray:
@@ -62,8 +77,10 @@ def compare(
     relative Frobenius error ||X - M^D|| / ||M^D|| is at most ``tol``,
     and a group-kind answer only if also ind(M) <= 1.  The error is
     unclamped, so a small M^D is judged on its own scale (absolute error
-    only when M^D = 0).  X is also re-verified against the Drazin axioms
-    for the assembled matrix (at the oracle's index).  ValueError for a
+    only when M^D = 0).  The verdict's ``axioms`` re-verifies X against
+    the Drazin axioms of the assembled matrix (at the oracle's index),
+    formed on its first read: ``passed`` never depends on it, so a
+    caller that does not read it pays no axiom check.  ValueError for a
     tol outside [0, inf) (see :func:`check_compare_tol`) or blocks of
     another pattern or shape.
     """
@@ -82,7 +99,7 @@ def compare(
         relative_error=rel,
         passed=rel <= tol and (formula.kind is not InverseKind.GROUP or oracle.index <= 1),
         oracle_index=oracle.index,
-        axioms=verify_drazin_axioms(m, assembled, oracle.index, compute_tol),
+        _axiom_inputs=(m, assembled, compute_tol),
     )
 
 

@@ -5,7 +5,20 @@ import sys
 import numpy as np
 import pytest
 
-from antitri import PATTERN_FOR, THEOREM_IDS, GeneratorRecipe, apply_formula, generate, matrix, zeros
+from antitri import (
+    PATTERN_FOR,
+    THEOREM_IDS,
+    GeneratorRecipe,
+    apply_formula,
+    assemble,
+    drazin,
+    example_45,
+    generate,
+    matrix,
+    thm41_group,
+    verify_drazin_axioms,
+    zeros,
+)
 from antitri.core import block2x2
 from antitri.formulas import REGISTRY
 from antitri.cli import (
@@ -73,8 +86,6 @@ def test_cmd_drazin_fixture_f(tmp_path, capsys):
 
 
 def test_cmd_drazin_residuals_are_the_verifier_at_tol(tmp_path, capsys, rng):
-    from antitri import drazin, verify_drazin_axioms
-
     p = tmp_path / "a.json"
     cases = [matrix([[1j, 1j], [0, 0]]), jordan_nilpotent(3)]
     cases += [matrix(rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))) for _ in range(3)]
@@ -274,6 +285,25 @@ def test_cmd_block_fixture_verified(capsys):
     assert rep["conditions"]["overall"]
     blocks = rep["result"]["blocks"]
     assert blocks["Gamma"]["data"][0][1] == [1.0, 0.0]
+    # the axioms of M and the answer at ind(M) = 1, entry for entry
+    ex = example_45()
+    want = verify_drazin_axioms(assemble(ex), thm41_group(ex.E, ex.F).assemble(), 1)
+    assert rep["verification"]["axioms"] == want.to_dict()
+
+
+def test_cmd_block_verify_reports_the_axioms_of_a_drazin_answer(tmp_path, capsys):
+    # the report's axioms are verify_drazin_axioms of M and the answer at ind(M)
+    # and the run's tol, entry for entry, at a tol other than the default
+    pair = generate(GeneratorRecipe("thm25", 3, 0))
+    e, f = str(tmp_path / "e.json"), str(tmp_path / "f.json")
+    write_matrix(e, pair.E)
+    write_matrix(f, pair.F)
+    code, rep = run_cli(capsys, "block", e, f, "--theorem", "thm25", "--verify", "--tol", "1e-9")
+    assert code == EXIT_OK
+    m = assemble(pair)
+    answer = apply_formula("thm25", pair.E, pair.F, tol=1e-9)
+    want = verify_drazin_axioms(m, answer.assemble(), drazin(m, 1e-9).index, 1e-9)
+    assert want.overall and rep["verification"]["axioms"] == want.to_dict()
 
 
 # The keys of each id's notes in its report: series caps, or the hypothesis family.

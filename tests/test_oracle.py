@@ -11,6 +11,7 @@ from antitri import (
     InverseKind,
     NoGroupInverse,
     Pattern,
+    apply_formula,
     assemble,
     compare,
     drazin,
@@ -25,6 +26,7 @@ from antitri import (
     verify_drazin_axioms,
     zeros,
 )
+import antitri.oracle
 from antitri.oracle import oracle_has_group_inverse
 from conftest import assert_close, jordan_nilpotent
 
@@ -79,6 +81,41 @@ def test_compare_fixture_and_corruption():
     bad = compare(corrupted, ex)
     assert not bad.passed
     assert not bad.axioms.overall
+
+
+def test_compare_forms_the_axiom_report_once_on_first_read(monkeypatch):
+    # compare spends no axiom check; the first read of axioms forms the report
+    # verify_drazin_axioms(M, X, ind M, compute_tol) gives, and later reads reuse it
+    from dataclasses import replace
+
+    ex = example_45()
+    res = thm41_group(ex.E, ex.F)
+    gen = generate(GeneratorRecipe("thm25", 3, 0))
+    cases = [
+        (res, ex, 1e-10),
+        (replace(res, tl=res.Gamma + 1.0), ex, 1e-10),
+        (apply_formula("thm25", gen.E, gen.F), gen, 1e-9),  # a compute_tol mix-up changes every threshold
+        (thm31_group(jordan_nilpotent(2), zeros(2, 2)), BlockPair(jordan_nilpotent(2), zeros(2, 2)), 1e-10),
+    ]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return verify_drazin_axioms(*args)
+
+    monkeypatch.setattr(antitri.oracle, "verify_drazin_axioms", counted)
+    for answer, pair, compute_tol in cases:
+        calls.clear()
+        verdict = compare(answer, pair, compute_tol=compute_tol)
+        assert calls == []
+        report = verdict.axioms
+        if isinstance(answer, NoGroupInverse):
+            assert report is None and calls == []
+            continue
+        assert len(calls) == 1
+        want = verify_drazin_axioms(assemble(pair), answer.assemble(), verdict.oracle_index, compute_tol)
+        assert report.entries == want.entries  # name, residual, threshold and pass, bit for bit
+        assert verdict.axioms is report and len(calls) == 1
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])

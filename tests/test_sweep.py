@@ -61,21 +61,28 @@ def test_violated_hypothesis_is_a_passed_refusal(deadline):
 
 def test_one_oracle_drazin_per_record(monkeypatch):
     # ind(M) is read off the one Drazin inverse of M that decides the record,
-    # in compare or in oracle_has_group_inverse, never from index_of
+    # in compare or in oracle_has_group_inverse, never from index_of; the
+    # verdicts' axiom reports are never read, so none is formed
     assert not hasattr(antitri.oracle, "index_of")
     assert not hasattr(antitri.sweep, "index_of")
-    calls = []
-    inner = antitri.oracle.drazin
+    calls, axiom_calls = [], []
+    inner, inner_axioms = antitri.oracle.drazin, antitri.oracle.verify_drazin_axioms
 
     def counted(a, tol):
         calls.append(a.shape)
         return inner(a, tol)
 
+    def counted_axioms(*args):
+        axiom_calls.append(args)
+        return inner_axioms(*args)
+
     monkeypatch.setattr(antitri.oracle, "drazin", counted)
+    monkeypatch.setattr(antitri.oracle, "verify_drazin_axioms", counted_axioms)
     for tid in THEOREM_IDS:
         calls.clear()
         summary = run_sweep(tid, count=8)
         assert summary.passed and len(calls) == len(summary.records) == 8, tid
+        assert axiom_calls == [], tid
 
 
 def test_nmax_below_one_is_rejected(deadline):
