@@ -7,15 +7,24 @@ that satisfy a formula's hypotheses exactly in exact arithmetic --
 realized in floating point through integer unimodular similarities --
 or deliberately violate exactly one named clause.
 
-Generation recipe: draw a unimodular integer S (product of elementary
-matrices with entries in {-2..2}); set F = S diag(C, N) S^-1 with C an
+Generation recipe: each family but thm23's and thm25's is built in F's
+eigenbasis.  Its builder returns (E~, F~) with F~ = diag(C, N), C an
 invertible diagonal (moduli in [0.5, 2]) and N a direct sum of
-nilpotent Jordan blocks of index <= 3; then F^pi = S diag(0, I) S^-1
-and each formula's constraints on E become block-structural in the
-same basis (e.g. FEF^pi = 0 forces the upper-right block of E to
-vanish and N E22 = 0).  Transposed hypothesis families (F^pi E F = 0
-instead of F E F^pi = 0) are generated by transposing a pair built for
-the untransposed family.
+nilpotent Jordan blocks of index <= 3, so that F~^pi = diag(0, I) and
+each formula's constraints on E become block-structural (e.g.
+FEF^pi = 0 forces the upper-right block of E to vanish and N E22 = 0).
+``_in_basis(build)`` draws a unimodular integer S (product of
+elementary matrices with entries in {-2..2}) before the builder runs
+and returns (S E~ S^-1, S F~ S^-1): a similarity, which keeps every
+hypothesis that holds, and every one that fails, in the eigenbasis.  A
+transpose-dual family (F^pi E F = 0 instead of F E F^pi = 0) is
+``_transposed(build)``: the base builder's pair for ``dual_clause``
+of the requested clause, transposed, since (F E F^pi)^T =
+(F^T)^pi E^T F^T.  So ``_BUILDERS`` names each family by composition,
+as ``REGISTRY`` names each row: cor42 is
+``_in_basis(_transposed(_build_identical))``.  thm23's builder needs
+no similarity; thm25's draws S itself, since some of its valid draws
+leave E unconjugated.
 
 Each construction helper makes one draw in a fixed order, so a recipe
 names one pair bit for bit; ``test_generator_stream_is_pinned`` guards
@@ -182,14 +191,25 @@ def _split(rng: np.random.Generator, n: int, min_z: int = 0, max_z: int | None =
     return n - z, z
 
 
-def _fefpi_broken(rng, n, recipe) -> tuple[np.ndarray, np.ndarray]:
-    """(E, F) in the F-eigenbasis with F E F^pi != 0 through E12, and E invertible."""
+def _group_f(rng, n, min_z=0, max_z=None) -> tuple[int, int, np.ndarray]:
+    """(r, z, F) with F = diag(C, 0): C an invertible r x r diagonal, (r, z) from ``_split``."""
+    r, z = _split(rng, n, min_z, max_z)
+    return r, z, _group_diag(rng, n, rank=r)
+
+
+def _e12_coupled(rng, n, recipe) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(r, z, F, E12): F = diag(C, 0) with r, z >= 1 and E12 != 0, so F E F^pi != 0 through E12."""
     if n < 2:
         _infeasible(recipe, "needs both an invertible part and a kernel in F")
-    r, z = _split(rng, n, min_z=1, max_z=n - 1)
-    ft = _group_diag(rng, n, rank=r)
+    r, z, ft = _group_f(rng, n, min_z=1, max_z=n - 1)
     e12 = _free(rng, r, z)
     e12.flat[0] = 1.0
+    return r, z, ft, e12
+
+
+def _fefpi_broken(rng, n, recipe) -> tuple[np.ndarray, np.ndarray]:
+    """(E, F) in the F-eigenbasis with F E F^pi != 0 through E12, and E invertible."""
+    r, z, ft, e12 = _e12_coupled(rng, n, recipe)
     # E invertible block-triangular: existence clause passes trivially
     return block2x2(_invertible_diag(rng, r), e12, zeros(z, r), _invertible_diag(rng, z)), ft
 
@@ -207,7 +227,8 @@ def _ffpi_broken(rng, n, recipe) -> tuple[int, int, np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# per-family builders: all work in the F-eigenbasis, then conjugate by S
+# per-family builders: thm23's and thm25's return (E, F); every other one
+# returns its pair in the F-eigenbasis, and _in_basis conjugates it by S
 
 
 def _build_thm23(rng, n, violate, recipe):
@@ -292,126 +313,88 @@ def _build_thm25(rng, n, violate, recipe):
     return s @ et @ s_inv, s @ ft @ s_inv
 
 
-def _build_group_eif0(rng, n, violate, recipe, transposed: bool):
-    """F E F^pi = 0 with existence clause (F group, E^pi F^pi = 0).
-
-    transposed=True yields the F^pi E F = 0 / F^pi E^pi = 0 family by
-    transposing a pair built for the plain one.
-    """
-    plain_violate = dual_clause(violate) if transposed else violate
-    if plain_violate == "FFpi":
+def _build_group_eif0(rng, n, violate, recipe):
+    """F E F^pi = 0 with existence clause (F group, E^pi F^pi = 0)."""
+    if violate == "FFpi":
         # FEF^pi = 0 with N != 0 forces N E22 = 0, so E22 is singular and
         # the E^pi F^pi clause fails along with this one: never sharp.
         _infeasible(recipe, "breaking F's group invertibility alone is structurally impossible")
-    s, s_inv = _unimodular(rng, n)
-    if plain_violate is None and rng.random() < 0.10:
-        et, ft = _free(rng, n, n), _invertible_diag(rng, n)  # F^pi = 0 degenerate
-    elif plain_violate == "FEFpi":
-        et, ft = _fefpi_broken(rng, n, recipe)
-    else:
-        r, z = _split(rng, n, min_z=1)
-        ft = _group_diag(rng, n, rank=r)
-        if plain_violate == "EpiFpi":
-            e22 = _group_diag(rng, z, rank=int(rng.integers(0, z)))
-        else:
-            e22 = _invertible_diag(rng, z)
-        et = block2x2(_free(rng, r, r), zeros(r, z), _free(rng, z, r), e22)
-    if transposed:
-        et, ft = et.T.copy(), ft.T.copy()
-    return s @ et @ s_inv, s @ ft @ s_inv
+    if violate is None and rng.random() < 0.10:
+        return _free(rng, n, n), _invertible_diag(rng, n)  # F^pi = 0 degenerate
+    if violate == "FEFpi":
+        return _fefpi_broken(rng, n, recipe)
+    r, z, ft = _group_f(rng, n, min_z=1)
+    rank = int(rng.integers(0, z)) if violate == "EpiFpi" else z  # rank < z breaks E^pi F^pi = 0
+    e22 = _group_diag(rng, z, rank=rank)
+    return block2x2(_free(rng, r, r), zeros(r, z), _free(rng, z, r), e22), ft
 
 
-def _build_identical(rng, n, violate, recipe, transposed: bool):
-    """F E F^pi = 0 with F group invertible standing and E E^pi F^pi = 0.
-
-    transposed=True gives the F^pi E F = 0 / F^pi E^pi E = 0 family.
-    """
-    plain_violate = dual_clause(violate) if transposed else violate
-    s, s_inv = _unimodular(rng, n)
-    if plain_violate == "FFpi":
+def _build_identical(rng, n, violate, recipe):
+    """F E F^pi = 0 with F group invertible standing and E E^pi F^pi = 0."""
+    if violate == "FFpi":
         # feasible here: the existence clause needs only a group invertible
         # E-corner, which can live inside ker N
         r, z, ft, e22 = _ffpi_broken(rng, n, recipe)
-        et = block2x2(_free(rng, r, r), zeros(r, z), _free(rng, z, r), e22)
-    elif plain_violate == "FEFpi":
-        et, ft = _fefpi_broken(rng, n, recipe)
-    elif plain_violate == "EEpiFpi":
+    elif violate == "FEFpi":
+        return _fefpi_broken(rng, n, recipe)
+    elif violate == "EEpiFpi":
         if n < 2:
             _infeasible(recipe, "needs a kernel of size >= 2 in F")
-        r, z = _split(rng, n, min_z=2)
-        ft = _group_diag(rng, n, rank=r)
+        r, z, ft = _group_f(rng, n, min_z=2)
         e22 = _index2_corner(rng, z)  # E E^pi F^pi != 0
-        et = block2x2(_free(rng, r, r), zeros(r, z), _free(rng, z, r), e22)
     else:
-        r, z = _split(rng, n)
-        ft = _group_diag(rng, n, rank=r)
-        et = block2x2(_free(rng, r, r), zeros(r, z), _free(rng, z, r), _group_diag(rng, z))
-    if transposed:
-        et, ft = et.T.copy(), ft.T.copy()
-    return s @ et @ s_inv, s @ ft @ s_inv
+        r, z, ft = _group_f(rng, n)
+        return block2x2(_free(rng, r, r), zeros(r, z), _free(rng, z, r), _group_diag(rng, z)), ft
+    return block2x2(_free(rng, r, r), zeros(r, z), _free(rng, z, r), e22), ft
 
 
 def _build_cor43(rng, n, violate, recipe):
     """Both blocks group invertible, either annihilator hypothesis."""
-    s, s_inv = _unimodular(rng, n)
     if violate == "FFpi":
         r, z, ft, e22 = _ffpi_broken(rng, n, recipe)
-        et = block2x2(_group_diag(rng, r), zeros(r, z), zeros(z, r), e22)
-        return s @ et @ s_inv, s @ ft @ s_inv
+        return block2x2(_group_diag(rng, r), zeros(r, z), zeros(z, r), e22), ft
     if violate == "EEpi":
         if n < 2:
             _infeasible(recipe, "needs room for an index-2 corner in E")
-        r, z = _split(rng, n, min_z=2)
-        ft = _group_diag(rng, n, rank=r)
+        r, z, ft = _group_f(rng, n, min_z=2)
         corner = _index2_corner(rng, z)
-        et = block2x2(_group_diag(rng, r), zeros(r, z), zeros(z, r), corner)
-        return s @ et @ s_inv, s @ ft @ s_inv
+        return block2x2(_group_diag(rng, r), zeros(r, z), zeros(z, r), corner), ft
     if violate == "FEFpi|FpiEF":
-        if n < 2:
-            _infeasible(recipe, "needs both an invertible part and a kernel in F")
-        r, z = _split(rng, n, min_z=1, max_z=n - 1)
-        ft = _group_diag(rng, n, rank=r)
-        e12 = _free(rng, r, z)
-        e12.flat[0] = 1.0
+        r, z, ft, e12 = _e12_coupled(rng, n, recipe)
         e21 = _free(rng, z, r)
         e21.flat[0] = 1.0
-        et = block2x2(_invertible_diag(rng, r), e12, e21, _invertible_diag(rng, z))
-        return s @ et @ s_inv, s @ ft @ s_inv
-    r, z = _split(rng, n)
-    ft = _group_diag(rng, n, rank=r)
+        return block2x2(_invertible_diag(rng, r), e12, e21, _invertible_diag(rng, z)), ft
+    r, z, ft = _group_f(rng, n)
     e11 = _group_diag(rng, r)
     e22 = _group_diag(rng, z)
     mode = rng.random()
     if mode < 0.4 or r == 0 or z == 0:
-        et = block2x2(e11, zeros(r, z), zeros(z, r), e22)  # both families hold
-    elif mode < 0.7:
+        return block2x2(e11, zeros(r, z), zeros(z, r), e22), ft  # both families hold
+    if mode < 0.7:
         # shear similarity: keeps E group invertible, FEF^pi family only
         t = _free(rng, z, r)
-        et = block2x2(e11, zeros(r, z), t @ e11 - e22 @ t, e22)
-    else:
-        # upper shear: F^pi E F family only
-        t = _free(rng, r, z)
-        et = block2x2(e11, e11 @ t - t @ e22, zeros(z, r), e22)
-    return s @ et @ s_inv, s @ ft @ s_inv
+        return block2x2(e11, zeros(r, z), t @ e11 - e22 @ t, e22), ft
+    # upper shear: F^pi E F family only
+    t = _free(rng, r, z)
+    return block2x2(e11, e11 @ t - t @ e22, zeros(z, r), e22), ft
 
 
 def _build_commuting(rng, n, violate, recipe, need_group_e: bool):
     """cor35 (need_group_e=False) and cor44 (True): commutation-type pairs.
 
-    Valid draws either commute outright (simultaneously diagonal in the
-    S basis, lam = 1) or satisfy only EF^2 = FEF (block upper triangular
-    E over a diagonal F).
+    Valid draws either commute outright (simultaneously diagonal, lam = 1)
+    or satisfy only EF^2 = FEF (block upper triangular E over a diagonal F).
     """
     # cor35 and cor44 list FFpi, but these pairs never break it alone; the
     # generator stream digest pins this message
     if violate == "FFpi":
         _infeasible(recipe, f"unknown clause {violate!r}")
-    s, s_inv = _unimodular(rng, n)
+    corner = _invertible_diag if need_group_e else _group_diag  # E's block over C
     if violate == "EEpi":
         if n < 2:
             _infeasible(recipe, "needs n >= 2 for an index-2 corner in E")
         ft = _invertible_diag(rng, 1)[0, 0] * identity(n)  # scalar F commutes with all E
-        return s @ _index2_corner(rng, n) @ s_inv, s @ ft @ s_inv
+        return _index2_corner(rng, n), ft
     if violate == "EF2-FEF":
         if n < 2:
             _infeasible(recipe, "needs two distinct invertible eigenvalues of F")
@@ -419,28 +402,43 @@ def _build_commuting(rng, n, violate, recipe, need_group_e: bool):
         c = _invertible_diag(rng, r)
         c[1, 1] = 2.0 * c[0, 0]  # distinct eigenvalues make the coupling sharp
         ft = block2x2(c, zeros(r, z), zeros(z, r), zeros(z, z))
-        corner_e = _invertible_diag(rng, r) if need_group_e else _group_diag(rng, r)
+        corner_e = corner(rng, r)
         corner_e[0, 1] = 1.0  # coupling: (EF^2 - FEF)[0,1] = c1(c1 - c0)
-        et = block2x2(corner_e, zeros(r, z), zeros(z, r), _invertible_diag(rng, z))
-        return s @ et @ s_inv, s @ ft @ s_inv
+        return block2x2(corner_e, zeros(r, z), zeros(z, r), _invertible_diag(rng, z)), ft
     if violate == "FpiEpi":
-        r, z = _split(rng, n, min_z=1)
-        ft = _group_diag(rng, n, rank=r)
+        r, z, ft = _group_f(rng, n, min_z=1)
         dz = _group_diag(rng, z, rank=int(rng.integers(0, z)))
         dr = _group_diag(rng, r)
-        et = block2x2(dr, zeros(r, z), zeros(z, r), dz)
-        return s @ et @ s_inv, s @ ft @ s_inv
+        return block2x2(dr, zeros(r, z), zeros(z, r), dz), ft
     # valid draws
-    r, z = _split(rng, n)
-    ft = _group_diag(rng, n, rank=r)
+    r, z, ft = _group_f(rng, n)
     if rng.random() < 0.5 and r >= 1 and z >= 1:
         # EF^2 = FEF but EF != FE: diagonal-over-diagonal with coupling
-        a = _invertible_diag(rng, r) if need_group_e else _group_diag(rng, r)
-        et = block2x2(a, _free(rng, r, z), zeros(z, r), _invertible_diag(rng, z))
-    else:
-        dr = _invertible_diag(rng, r) if need_group_e else _group_diag(rng, r)
-        et = block2x2(dr, zeros(r, z), zeros(z, r), _invertible_diag(rng, z))
-    return s @ et @ s_inv, s @ ft @ s_inv
+        return block2x2(corner(rng, r), _free(rng, r, z), zeros(z, r), _invertible_diag(rng, z)), ft
+    return block2x2(corner(rng, r), zeros(r, z), zeros(z, r), _invertible_diag(rng, z)), ft
+
+
+def _in_basis(build):
+    """The family of ``build``, whose pair is in F's eigenbasis: a unimodular S
+    is drawn first, then the pair (E~, F~), and (S E~ S^-1, S F~ S^-1) returned.
+    """
+    def built(rng, n, violate, recipe):
+        s, s_inv = _unimodular(rng, n)
+        et, ft = build(rng, n, violate, recipe)
+        return s @ et @ s_inv, s @ ft @ s_inv
+    return built
+
+
+def _transposed(build):
+    """The transpose-dual family of ``build``: its pair for ``dual_clause(violate)``, transposed.
+
+    (F E F^pi)^T = (F^T)^pi E^T F^T, so the transpose of a pair that keeps
+    or breaks a clause of one row keeps or breaks its dual in the dual row.
+    """
+    def built(rng, n, violate, recipe):
+        et, ft = build(rng, n, dual_clause(violate), recipe)
+        return et.T.copy(), ft.T.copy()
+    return built
 
 
 _BUILDERS = {
@@ -448,15 +446,15 @@ _BUILDERS = {
     "thm25": _build_thm25,
     "cor26": _build_thm25,
     "thm27": _build_thm25,
-    "thm31": partial(_build_group_eif0, transposed=False),
-    "cor32": partial(_build_group_eif0, transposed=False),
-    "thm33": partial(_build_group_eif0, transposed=True),
-    "cor34": partial(_build_group_eif0, transposed=True),
-    "cor35": partial(_build_commuting, need_group_e=False),
-    "thm41": partial(_build_identical, transposed=False),
-    "cor42": partial(_build_identical, transposed=True),
-    "cor43": _build_cor43,
-    "cor44": partial(_build_commuting, need_group_e=True),
+    "thm31": _in_basis(_build_group_eif0),
+    "cor32": _in_basis(_build_group_eif0),
+    "thm33": _in_basis(_transposed(_build_group_eif0)),
+    "cor34": _in_basis(_transposed(_build_group_eif0)),
+    "cor35": _in_basis(partial(_build_commuting, need_group_e=False)),
+    "thm41": _in_basis(_build_identical),
+    "cor42": _in_basis(_transposed(_build_identical)),
+    "cor43": _in_basis(_build_cor43),
+    "cor44": _in_basis(partial(_build_commuting, need_group_e=True)),
 }
 
 
@@ -468,15 +466,14 @@ def generate(recipe: GeneratorRecipe) -> BlockPair:
     does not list, or structurally impossible requests, raise
     InfeasibleRecipeError, a negative seed ValueError.
     """
-    if recipe.theorem_id not in _BUILDERS:
-        raise KeyError(f"unknown formula id {recipe.theorem_id!r}")
+    clauses = REGISTRY[recipe.theorem_id].clauses  # KeyError for an unknown id
     if recipe.dimension < 1:
         raise InfeasibleRecipeError("dimension must be >= 1")
     if recipe.seed < 0:
         raise ValueError(
             f"recipe {recipe.theorem_id} n={recipe.dimension}: seed must be >= 0, got {recipe.seed}"
         )
-    if recipe.violate not in (None, *REGISTRY[recipe.theorem_id].clauses):
+    if recipe.violate not in (None, *clauses):
         _infeasible(recipe, f"unknown clause {recipe.violate!r}")
     rng = np.random.default_rng(recipe.seed)
     e, f = _BUILDERS[recipe.theorem_id](rng, recipe.dimension, recipe.violate, recipe)

@@ -53,8 +53,11 @@ as does one that overflowed inside the recursion to NaN or Inf.
 :func:`index_of` reads the index off that same recursion; there is no
 second index algorithm.
 
-This module is the independent oracle that every closed-form block
-representation in :mod:`antitri.formulas` is checked against.
+The closed-form block representations in :mod:`antitri.formulas` and
+the oracle that checks them, :mod:`antitri.oracle`, both take their
+Drazin inverses from this module.  So the oracle is not independent
+of it: the rank decision made here is shared by the answer and by its
+judge.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from antitri import (
     matrix,
 )
 from antitri.conditions import _free, _invertible_diag, _unimodular
-from antitri.formulas import REGISTRY
+from antitri.formulas import REGISTRY, dual_clause
 from conftest import jordan_nilpotent, svd_index, unimodular_pair
 
 # violations that are structurally feasible, per formula id
@@ -167,6 +167,29 @@ def test_scalar_violations_are_refused_by_name_or_sharp():
         ("thm31", "EpiFpi"), ("cor32", "EpiFpi"), ("thm33", "FpiEpi"),
         ("cor34", "FpiEpi"), ("cor35", "FpiEpi"),
     }
+
+
+@pytest.mark.parametrize("base, dual", [("thm31", "thm33"), ("cor32", "cor34"), ("thm41", "cor42")])
+def test_transpose_dual_pairs_judge_as_their_transposes(base, dual):
+    # (F E F^pi)^T = (F^T)^pi E^T F^T: every pair made for the dual row,
+    # transposed, passes and fails the base row's clauses exactly where it
+    # passes and fails their duals, and is a base-row pair that breaks the
+    # dual of the requested clause alone
+    made = 0
+    for violate in (None, *REGISTRY[dual].clauses):
+        for seed in range(6):
+            for n in (1, 2, 3, 4):
+                try:
+                    pair = generate(GeneratorRecipe(dual, n, seed, violate=violate))
+                except InfeasibleRecipeError:
+                    continue
+                want = {dual_clause(e.name): e.passed for e in check_conditions(pair.E, pair.F, dual).entries}
+                got = {e.name: e.passed for e in check_conditions(pair.E.T, pair.F.T, base).entries}
+                assert got == want, (dual, violate, seed, n)
+                failing = {name for name, passed in got.items() if not passed}
+                assert failing == {dual_clause(violate)} - {None}, (dual, violate, seed, n, failing)
+                made += 1
+    assert made >= 50, made
 
 
 def test_generator_determinism():
