@@ -385,10 +385,10 @@ def _build_commuting(rng, n, violate, recipe, need_group_e: bool):
     Valid draws either commute outright (simultaneously diagonal, lam = 1)
     or satisfy only EF^2 = FEF (block upper triangular E over a diagonal F).
     """
-    # cor35 and cor44 list FFpi, but these pairs never break it alone; the
-    # generator stream digest pins this message
+    # cor35 and cor44 list FFpi, and (E, F) = (I, J_2) breaks it alone, but
+    # every pair built here has F group invertible
     if violate == "FFpi":
-        _infeasible(recipe, f"unknown clause {violate!r}")
+        _infeasible(recipe, "these commuting recipes do not build a pair that breaks FFpi alone")
     corner = _invertible_diag if need_group_e else _group_diag  # E's block over C
     if violate == "EEpi":
         if n < 2:

@@ -201,7 +201,7 @@ def test_generator_determinism():
 
 
 # SHA-256 of the recipes in _pinned_recipes() and what generate makes of them
-GENERATOR_STREAM_SHA256 = "d0bcaed9949607f82bbfc9ee4e1bfa13eac3607ff36060c95b7fedacdfd8752b"
+GENERATOR_STREAM_SHA256 = "5dff95734293a94e418f0c9cfbe6cc77460ee53fc6b4b8ae3f62c896cb2c0846"
 
 
 def _pinned_recipes():
@@ -280,6 +280,10 @@ def test_infeasible_recipes():
         generate(GeneratorRecipe("thm25", 2, 0, violate="nonsense"))
     with pytest.raises(InfeasibleRecipeError):
         generate(GeneratorRecipe("thm31", 0, 0))
+    for tid in ("cor35", "cor44"):  # FFpi is one of their clauses: the refusal says why no pair is built
+        why = "these commuting recipes do not build a pair that breaks FFpi alone"
+        with pytest.raises(InfeasibleRecipeError, match=f"^recipe {tid} n=3 violate=FFpi: {why}$"):
+            generate(GeneratorRecipe(tid, 3, 0, violate="FFpi"))
 
 
 def test_negative_seed_names_the_recipe():

@@ -48,6 +48,8 @@ def test_clause_outside_the_formula_is_refused_up_front(deadline, monkeypatch):
 def test_infeasible_recipe_quotes_the_generators_reason(deadline):
     with pytest.raises(InfeasibleRecipeError, match=r"1\.\.4 \(last: .* structurally impossible\)"):
         run_sweep("thm31", count=2, violate="FFpi")
+    with pytest.raises(InfeasibleRecipeError, match=r"1\.\.4 \(last: .* do not build a pair that breaks FFpi alone\)"):
+        run_sweep("cor44", count=2, violate="FFpi")
 
 
 def test_violated_hypothesis_is_a_passed_refusal(deadline):
