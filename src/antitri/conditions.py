@@ -389,7 +389,7 @@ def _build_commuting(rng, n, violate, recipe, need_group_e: bool):
     # every pair built here has F group invertible
     if violate == "FFpi":
         _infeasible(recipe, "these commuting recipes do not build a pair that breaks FFpi alone")
-    corner = _invertible_diag if need_group_e else _group_diag  # E's block over C
+    corner = _invertible_diag if need_group_e else _group_diag  # draws E's block over C
     if violate == "EEpi":
         if n < 2:
             _infeasible(recipe, "needs n >= 2 for an index-2 corner in E")
@@ -419,9 +419,7 @@ def _build_commuting(rng, n, violate, recipe, need_group_e: bool):
 
 
 def _in_basis(build):
-    """The family of ``build``, whose pair is in F's eigenbasis: a unimodular S
-    is drawn first, then the pair (E~, F~), and (S E~ S^-1, S F~ S^-1) returned.
-    """
+    """The family of the eigenbasis builder ``build``: S drawn first, then (S E~ S^-1, S F~ S^-1)."""
     def built(rng, n, violate, recipe):
         s, s_inv = _unimodular(rng, n)
         et, ft = build(rng, n, violate, recipe)
