@@ -228,14 +228,20 @@ def certified_inverse(a: np.ndarray, tol: float, floor: float = 0.0) -> np.ndarr
     clears the cut and the elimination would return rank r.  None when
     LAPACK finds a singular, and when the bound is within the margin:
     then the elimination must decide.  An x with NaN or Inf entries
-    fails the test.
+    fails the test.  The test runs first with ``floor`` in place of the
+    cut, in the same order of products: cut >= floor and rounding is
+    monotone, so a refusal there is the cut's refusal too, and the scan
+    for max|a| runs only once the floor passes.
     """
     try:
         x = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         return None
+    r, norm = a.shape[0], frobenius_norm(x)
+    if not r * floor * norm * INVERSE_MARGIN < 1:
+        return None
     cut = _cut(float(np.abs(a).max(initial=0.0)), tol, floor)  # initial: a 0 x 0 a has no max
-    return x if a.shape[0] * cut * frobenius_norm(x) * INVERSE_MARGIN < 1 else None
+    return x if r * cut * norm * INVERSE_MARGIN < 1 else None
 
 
 def rank_factorize(

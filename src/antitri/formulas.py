@@ -124,7 +124,7 @@ class BlockPair:
             object.__setattr__(self, name, block)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockResult:
     """The four blocks [[tl, tr], [bl, br]] of a computed block inverse.
 
@@ -134,7 +134,7 @@ class BlockResult:
     ``a_terms``/``b_terms``) or the ``hypothesis_family`` that cor43 and
     cor44 accepted.  ``pattern`` is None for results whose source matrix
     is not one of the three anti-triangular patterns (the plain
-    triangular split).
+    triangular split).  Equality is identity, as the blocks are arrays.
     """
 
     tl: np.ndarray
@@ -217,7 +217,7 @@ class _DrazinData:
 
 
 def _transposed(r: DrazinResult) -> DrazinResult:
-    return DrazinResult(r.drazin.T, r.index, r.idempotent.T)
+    return DrazinResult(r.drazin.T, r.index, lambda: r.idempotent.T)  # r's A^pi, formed once for both
 
 
 # Left-hand side of each hypothesis and existence clause.  FFpi and EEpi

@@ -26,7 +26,9 @@ the elimination certifies of full rank.
 Below the top level, :func:`antitri.core.certified_inverse` is asked
 first.  It takes LAPACK ``inv`` of the r x r level matrix A_j and keeps
 it when r * cut * |A_j^-1|_F * INVERSE_MARGIN < 1, with cut the
-elimination's own.  Each complete-pivoting pivot of an invertible
+elimination's own.  The same test with the pivot floor, which no cut
+is below, runs first, so an attempt that it refuses skips the scan for
+max|A_j|.  Each complete-pivoting pivot of an invertible
 matrix is at least 1 / (r |A_j^-1|_F) (Higham, Accuracy and Stability
 of Numerical Algorithms, 2nd ed., ch. 9), so the elimination would
 have found full rank and led to the same ``inv`` of the same matrix:
@@ -49,6 +51,9 @@ normal float range are the unscaled recursion's value for value, and
 the squares x @ x of the recursion neither underflow nor overflow at
 extreme scale.  An A^D beyond the float64 range raises OverflowError,
 as does one that overflowed inside the recursion to NaN or Inf.
+A^pi = I - (A * 2^-e)(A^D * 2^e) is formed from that scaled copy and
+the recursion's answer on the first read of ``idempotent``: the
+formulas read it, the oracle and :func:`index_of` do not.
 
 :func:`index_of` reads the index off that same recursion; there is no
 second index algorithm.
@@ -63,7 +68,9 @@ judge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -90,17 +97,25 @@ class NoGroupInverseError(ArithmeticError):
         self.index = index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DrazinResult:
     """Drazin inverse A^D with index ind(A) and spectral idempotent A^pi.
 
     The one answer shape for both inverses: at index <= 1, ``drazin``
-    is the group inverse A^#.
+    is the group inverse A^#.  A^pi is formed on the first read of
+    ``idempotent``, by ``_idempotent``, and kept: most callers read only
+    ``drazin`` or ``index``.  Equality is identity, as the array fields
+    have no truth value.
     """
 
     drazin: np.ndarray
     index: int
-    idempotent: np.ndarray
+    _idempotent: Callable[[], np.ndarray] = field(repr=False)
+
+    @cached_property
+    def idempotent(self) -> np.ndarray:
+        """A^pi = I - A A^D, formed on first read."""
+        return self._idempotent()
 
 
 def index_of(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:
@@ -162,8 +177,8 @@ def drazin(a: np.ndarray, tol: float = DEFAULT_TOL) -> DrazinResult:
     if not math.isfinite(xmax) or (xmax and math.frexp(xmax)[1] - e > 1024):
         raise OverflowError(f"drazin: A^D has entries beyond the float64 range (max|A| = {amax:g})")
     ad = _times_pow2(x, -e)  # (cA)^D = A^D / c
-    pi = identity(a.shape[0]) - scaled @ x
-    return DrazinResult(drazin=ad, index=k, idempotent=pi)
+    # scaled and x are this call's own arrays, so no later write by the caller reaches A^pi
+    return DrazinResult(ad, k, lambda: identity(scaled.shape[0]) - scaled @ x)
 
 
 def _times_pow2(a: np.ndarray, k: int) -> np.ndarray:

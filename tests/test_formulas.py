@@ -1080,13 +1080,34 @@ def test_transposed_drazin_data_residuals_are_of_the_transpose():
 
 
 def _reference_transposed_holder(d):
-    """``d.T`` built the earlier way: through ``__init__``'s checks, its results by ``replace``."""
+    """``d.T`` built the earlier way: through ``__init__``'s checks, its results by ``replace``, A^pi eagerly."""
     import dataclasses
 
     t = _DrazinData(d.e.T.copy(), d.f.T.copy(), d.tol)
     for name, r in (("E", d.E), ("F", d.F)):
-        t.__dict__[name] = dataclasses.replace(r, drazin=r.drazin.T, idempotent=r.idempotent.T)
+        t.__dict__[name] = dataclasses.replace(r, drazin=r.drazin.T)
+        t.__dict__[name].__dict__["idempotent"] = r.idempotent.T
     return t
+
+
+def test_dual_rows_read_the_seeded_transpose():
+    # d.T's A^pi is the transpose of d's own, formed once for both holders
+    from antitri.formulas import _run
+
+    read = 0
+    for tid in ("thm33", "cor34", "cor35", "cor42"):
+        for seed in range(4):
+            pair = generate(GeneratorRecipe(tid, 3, seed))
+            d = _DrazinData(pair.E, pair.F, DEFAULT_TOL)
+            _run(d, tid)
+            for name in ("E", "F"):
+                dual = vars(d.T).get(name)
+                if dual is None or "idempotent" not in vars(dual):
+                    continue
+                base = vars(getattr(d, name))["idempotent"]
+                assert np.shares_memory(dual.idempotent, base) and np.array_equal(dual.idempotent, base.T)
+                read += 1
+    assert read
 
 
 def test_transposed_holder_checks_nothing_again_and_answers_as_before(monkeypatch):

@@ -1,3 +1,4 @@
+import collections
 import math
 import warnings
 
@@ -7,11 +8,14 @@ import pytest
 import antitri.geninv as geninv
 from antitri import (
     THEOREM_IDS,
+    BlockPair,
     DrazinResult,
     GeneratorRecipe,
     InfeasibleRecipeError,
     NoGroupInverseError,
+    Pattern,
     assemble,
+    compare,
     diag,
     drazin,
     frobenius_norm,
@@ -26,10 +30,14 @@ from antitri import (
     rank_factorize,
     solve,
     spectral_idempotent,
+    thm25,
+    thm41_group,
     verify_drazin_axioms,
     zeros,
 )
+from antitri.core import INVERSE_MARGIN
 from antitri.formulas import REGISTRY
+from antitri.oracle import oracle_has_group_inverse
 from conftest import (
     assert_close,
     jordan_nilpotent,
@@ -111,12 +119,75 @@ def test_drazin_result_holds_only_its_answer(rng):
     # verify_drazin_axioms' to compute, at the caller's tol
     from dataclasses import fields
 
-    assert [f.name for f in fields(DrazinResult)] == ["drazin", "index", "idempotent"]
+    assert [f.name for f in fields(DrazinResult)] == ["drazin", "index", "_idempotent"]
     cases = [identity(3), zeros(3, 3), jordan_nilpotent(4), E45, F45, random_complex(rng, 5)]
     cases += [1e200 * F45, 1e-200 * F45]
     for a in cases:
         r = drazin(a)
         assert not np.shares_memory(r.drazin, a) and not np.shares_memory(r.idempotent, a)
+
+
+def _eager_idempotent(a, tol=1e-10):
+    """A^pi as ``drazin`` formed it on every call before it was formed on first read, kept as the reference."""
+    amax = float(np.abs(a).max()) if a.size else 0.0
+    mantissa, e = math.frexp(amax)
+    scaled = geninv._times_pow2(a, -e)
+    x, _ = geninv._drazin_core(scaled, tol, tol * mantissa)
+    return identity(a.shape[0]) - scaled @ x
+
+
+def test_idempotent_is_formed_on_first_read_from_the_calls_own_arrays(rng):
+    # the first read gives the array drazin formed at the call before, byte for
+    # byte, whatever the caller wrote into its input or into A^D since
+    cases = [E45, F45, jordan_nilpotent(4), zeros(0, 0), 1e200 * F45, 1e-200 * F45]
+    cases += [_instance_mix(rng, int(rng.integers(1, 9))) for _ in range(40)]
+    for a in cases:
+        a = a.copy()
+        want = _eager_idempotent(a)
+        r = drazin(a)
+        assert "idempotent" not in vars(r)
+        a[...] = np.nan
+        r.drazin[...] = np.nan
+        got = r.idempotent
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert r.idempotent is got
+
+
+def test_callers_that_read_no_idempotent_form_none(monkeypatch):
+    # the oracle, index_of and thm25's drazin(E F^pi) read A^D or the index only
+    import antitri.formulas as formulas
+    import antitri.oracle as oracle
+
+    seen = []
+    real = geninv.drazin
+
+    def spied(a, *args):
+        seen.append((a, real(a, *args)))
+        return seen[-1][1]
+
+    for module in (geninv, oracle, formulas):
+        monkeypatch.setattr(module, "drazin", spied)
+    pair = BlockPair(E45, F45, Pattern.EF_F0)
+    out = thm41_group(E45, F45)
+    assert len(seen) == 2 and all("idempotent" in vars(r) for _, r in seen)  # thm41 reads E^pi and F^pi
+    for call in (lambda: compare(out, pair), lambda: oracle_has_group_inverse(pair), lambda: index_of(F45)):
+        seen.clear()
+        call()
+        assert len(seen) == 1 and "idempotent" not in vars(seen[0][1])
+    p = generate(GeneratorRecipe("thm25", 3, 0))
+    seen.clear()
+    thm25(p.E, p.F)  # drazin(F), whose F^pi it reads, then drazin(alpha)
+    assert [a is p.F for a, _ in seen] == [True, False]
+    assert ["idempotent" in vars(r) for _, r in seen] == [True, False]
+
+
+def test_results_compare_by_identity_and_hash():
+    # the generated __eq__ compared the array fields and raised "truth value of
+    # an array ... is ambiguous"; hash() raised TypeError
+    for make in (lambda: drazin(F45), lambda: thm41_group(E45, F45)):
+        r, s = make(), make()
+        assert r == r and r != s and not r == s
+        assert hash(r) == hash(r) and len({r, s}) == 2
 
 
 def test_axiom_verifier():
@@ -474,6 +545,58 @@ def test_certified_core_keeps_the_reference_recursion_bit_for_bit(rng, monkeypat
                 for scale in (1.0, 1e-6, 1e6):
                     inputs += [scale * pair.E, scale * pair.F, scale * assemble(pair)]
     _assert_reference_recursion(monkeypatch, inputs)
+
+
+def _two_scan_certified_inverse(a, tol, floor):
+    """``core.certified_inverse`` before the floor bound ran first, kept verbatim as the reference."""
+    try:
+        x = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return None
+    cut = max(tol * float(np.abs(a).max(initial=0.0)), floor)
+    return x if a.shape[0] * cut * frobenius_norm(x) * INVERSE_MARGIN < 1 else None
+
+
+def test_floor_first_certificate_decides_as_the_two_scan_rule(rng, monkeypatch):
+    # cut >= floor, so an attempt the bound at the floor refuses is one the
+    # cut refuses too; max|A_j| is scanned only once the floor bound passes
+    import antitri.core as core
+
+    scans, outcomes = [], collections.Counter()
+    real_cut, real_certificate = core._cut, geninv.certified_inverse
+
+    def counted_cut(*args):
+        scans.append(args)
+        return real_cut(*args)
+
+    def compared(a, tol, floor):
+        want = _two_scan_certified_inverse(a, tol, floor)
+        scans.clear()
+        got = real_certificate(a, tol, floor)
+        assert (got is None) == (want is None) and (got is None or np.array_equal(got, want))
+        try:
+            x = np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            outcome = "LAPACK raised"
+        else:
+            floor_passes = a.shape[0] * floor * frobenius_norm(x) * INVERSE_MARGIN < 1
+            outcome = "cut decided" if floor_passes else "floor refused"
+        assert bool(scans) == (outcome == "cut decided")
+        outcomes[outcome, got is not None] += 1
+        return got
+
+    monkeypatch.setattr(core, "_cut", counted_cut)
+    monkeypatch.setattr(geninv, "certified_inverse", compared)
+    cases = [identity(3), zeros(3, 3), jordan_nilpotent(4), F45]  # test_drazin_work_per_call's
+    cases += [_instance_mix(rng, int(rng.integers(1, 9))) for _ in range(40)]
+    cases += [_with_nilpotent_part(np.random.default_rng(seed), _kahan(24, 0.433), 2) for seed in range(40)]
+    for a in cases:
+        with np.errstate(all="ignore"):
+            try:
+                drazin(a)
+            except OverflowError:
+                pass
+    assert set(outcomes) == {("LAPACK raised", False), ("floor refused", False), ("cut decided", True)}, outcomes
 
 
 @pytest.mark.parametrize("seed", [0, 6, 16, 35])
